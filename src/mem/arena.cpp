@@ -102,7 +102,7 @@ std::uint64_t TierArena::round_up(std::uint64_t bytes) const {
   return (bytes + a - 1) / a * a;
 }
 
-void* TierArena::alloc(std::uint64_t bytes) {
+void* TierArena::alloc(std::uint64_t bytes, bool may_grow) {
   HMR_CHECK_MSG(bytes > 0, "zero-byte tier allocation");
   const std::uint64_t need = round_up(bytes);
   // Cheap reject via the length index before the first-fit walk.
@@ -111,6 +111,8 @@ void* TierArena::alloc(std::uint64_t bytes) {
     if (it->second < need) continue;
     const std::uint64_t off = it->first;
     const std::uint64_t len = it->second;
+    // First fit has the lowest start, hence the lowest end, of all fits.
+    if (!may_grow && off + need > touched_) return nullptr;
     free_ranges_.erase(it);
     erase_one_len(free_lens_, len);
     if (len > need) {
@@ -120,6 +122,7 @@ void* TierArena::alloc(std::uint64_t bytes) {
     live_.emplace(off, need);
     used_ += need;
     high_water_ = std::max(high_water_, used_);
+    touched_ = std::max(touched_, off + need);
     ++total_allocs_;
     return base_ + off;
   }

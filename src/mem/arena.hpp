@@ -51,9 +51,10 @@ public:
   TierArena& operator=(const TierArena&) = delete;
 
   /// First-fit allocation.  Returns nullptr when no free range of
-  /// `bytes` exists (capacity or fragmentation).  Zero-byte requests
-  /// are rejected.
-  void* alloc(std::uint64_t bytes);
+  /// `bytes` exists (capacity or fragmentation), or — with
+  /// `may_grow = false` — when the first fit would end past the touched
+  /// extent.  Zero-byte requests are rejected.
+  void* alloc(std::uint64_t bytes, bool may_grow = true);
 
   /// Releases a pointer previously returned by alloc().  Coalesces with
   /// adjacent free ranges.  Freeing a foreign or already-freed pointer
@@ -68,6 +69,9 @@ public:
   std::uint64_t used() const { return used_; }
   std::uint64_t free_bytes() const { return capacity_ - used_; }
   std::uint64_t high_water() const { return high_water_; }
+  /// Largest end offset ever handed out: the prefix of the region that
+  /// live data has touched.  Never shrinks.
+  std::uint64_t touched_extent() const { return touched_; }
   std::uint64_t live_allocations() const { return live_.size(); }
 
   /// Size of the largest single allocatable range (fragmentation
@@ -109,6 +113,7 @@ private:
 
   std::uint64_t used_ = 0;
   std::uint64_t high_water_ = 0;
+  std::uint64_t touched_ = 0;
   std::uint64_t total_allocs_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include "mem/copy_kernel.hpp"
 #include "util/check.hpp"
@@ -33,7 +35,7 @@ MemoryManager::MemoryManager(std::vector<TierSpec> tiers, bool enable_pool)
     arenas_.push_back(std::move(ts));
   }
   stats_.resize(arenas_.size() * arenas_.size());
-  shadow_bytes_.resize(arenas_.size(), 0);
+  tier_blocks_.resize(arenas_.size());
 }
 
 std::vector<MemoryManager::TierSpec> MemoryManager::specs_from_model(
@@ -58,7 +60,7 @@ MemoryManager MemoryManager::from_model(const hw::MachineModel& model,
 }
 
 void* MemoryManager::alloc_locked(TierState& ts, std::uint64_t bytes,
-                                  bool* from_pool) {
+                                  bool* from_pool, bool may_grow) {
   if (from_pool) *from_pool = false;
   if (pool_enabled_) {
     if (void* p = ts.pool.get(bytes)) {
@@ -66,7 +68,7 @@ void* MemoryManager::alloc_locked(TierState& ts, std::uint64_t bytes,
       return p;
     }
   }
-  return ts.arena->alloc(bytes);
+  return ts.arena->alloc(bytes, may_grow);
 }
 
 void MemoryManager::free_locked(TierState& ts, void* p,
@@ -78,11 +80,75 @@ void MemoryManager::free_locked(TierState& ts, void* p,
   }
 }
 
+void* MemoryManager::alloc_storage(TierId t, std::uint64_t bytes,
+                                   bool* from_pool) {
+  TierState& ts = *arenas_[t];
+  {
+    std::lock_guard lock(ts.mu);
+    // Shadows may only hold space live blocks already touched: with
+    // zero-copy on, growing the touched extent waits for a reclaim.
+    if (void* p = alloc_locked(ts, bytes, from_pool, !zero_copy_)) return p;
+  }
+  if (!zero_copy_) return nullptr;
+  // Reclaim and retry in one blocks_mu_ section, and retry even when
+  // the pass found nothing.  No shadow can be linked in between, and
+  // every dropped shadow is back in its arena before blocks_mu_ is
+  // released, so a failed retry means the space is really taken
+  // (fragmentation or an over-committed budget), not in flight.
+  std::lock_guard blocks(blocks_mu_);
+  reclaim_shadows(t);
+  std::lock_guard lock(ts.mu);
+  return alloc_locked(ts, bytes, from_pool, /*may_grow=*/true);
+}
+
+void MemoryManager::link_shadow(BlockId b, void* p, TierId t) {
+  BlockRec& rec = blocks_[b];
+  HMR_DCHECK(rec.shadow == nullptr);
+  TierBlocks& tb = tier_blocks_[t];
+  rec.shadow = p;
+  rec.shadow_tier = t;
+  rec.shadow_slot = tb.shadows.size();
+  tb.shadows.push_back(b);
+  tb.shadow_bytes += rec.bytes;
+}
+
+bool MemoryManager::drop_shadow(BlockId b) {
+  const TierId t = blocks_[b].shadow_tier;
+  void* p = unlink_shadow(b);
+  if (p == nullptr) return false;
+  TierState& ts = *arenas_[t];
+  std::lock_guard lock(ts.mu);
+  free_locked(ts, p, blocks_[b].bytes);
+  return true;
+}
+
+void* MemoryManager::unlink_shadow(BlockId b) {
+  BlockRec& rec = blocks_[b];
+  void* p = rec.shadow;
+  if (p == nullptr) return nullptr;
+  TierBlocks& tb = tier_blocks_[rec.shadow_tier];
+  const BlockId moved = tb.shadows.back();
+  tb.shadows[rec.shadow_slot] = moved;
+  blocks_[moved].shadow_slot = rec.shadow_slot;
+  tb.shadows.pop_back();
+  tb.shadow_bytes -= rec.bytes;
+  rec.shadow = nullptr;
+  return p;
+}
+
+void MemoryManager::count_migration(TierId src, TierId dst,
+                                    std::uint64_t bytes) {
+  std::lock_guard lock(stats_mu_);
+  MigrationStats& s = stats_[src * arenas_.size() + dst];
+  ++s.count;
+  s.bytes += bytes;
+}
+
 void* MemoryManager::alloc_on_tier(std::uint64_t bytes, TierId t) {
   HMR_CHECK_MSG(t < arenas_.size(), "bad tier id");
   TierState& ts = *arenas_[t];
   std::lock_guard lock(ts.mu);
-  return alloc_locked(ts, bytes, nullptr);
+  return alloc_locked(ts, bytes, nullptr, /*may_grow=*/true);
 }
 
 void MemoryManager::free_on_tier(void* p, TierId t) {
@@ -97,20 +163,11 @@ void MemoryManager::free_on_tier(void* p, TierId t) {
 BlockId MemoryManager::register_block(std::uint64_t bytes, TierId initial) {
   HMR_CHECK_MSG(initial < arenas_.size(), "bad tier id");
   HMR_CHECK_MSG(bytes > 0, "zero-byte block");
-  void* p = nullptr;
-  {
-    TierState& ts = *arenas_[initial];
-    std::lock_guard lock(ts.mu);
-    p = alloc_locked(ts, bytes, nullptr);
-  }
-  if (!p && zero_copy_ && reclaim_shadows(initial) > 0) {
-    TierState& ts = *arenas_[initial];
-    std::lock_guard lock(ts.mu);
-    p = alloc_locked(ts, bytes, nullptr);
-  }
+  void* p = alloc_storage(initial, bytes, nullptr);
   if (!p) return kInvalidBlock;
   std::lock_guard lock(blocks_mu_);
   blocks_.push_back({p, bytes, initial, /*live=*/true, /*migrating=*/false});
+  ++tier_blocks_[initial].primaries;
   return static_cast<BlockId>(blocks_.size() - 1);
 }
 
@@ -118,33 +175,23 @@ void MemoryManager::unregister_block(BlockId b) {
   void* p = nullptr;
   std::uint64_t bytes = 0;
   TierId tier = 0;
-  void* shadow = nullptr;
-  TierId shadow_tier = 0;
   {
     std::lock_guard lock(blocks_mu_);
     HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live,
                   "unregistering dead block");
     HMR_CHECK_MSG(!blocks_[b].migrating, "unregistering mid-migration");
-    p = blocks_[b].ptr;
-    bytes = blocks_[b].bytes;
-    tier = blocks_[b].tier;
-    shadow = blocks_[b].shadow;
-    shadow_tier = blocks_[b].shadow_tier;
-    blocks_[b].live = false;
-    blocks_[b].ptr = nullptr;
-    blocks_[b].shadow = nullptr;
-    if (shadow != nullptr) shadow_bytes_[shadow_tier] -= bytes;
+    BlockRec& rec = blocks_[b];
+    p = rec.ptr;
+    bytes = rec.bytes;
+    tier = rec.tier;
+    drop_shadow(b);
+    rec.live = false;
+    rec.ptr = nullptr;
+    --tier_blocks_[tier].primaries;
   }
-  {
-    TierState& ts = *arenas_[tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, p, bytes);
-  }
-  if (shadow != nullptr) {
-    TierState& ts = *arenas_[shadow_tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, shadow, bytes);
-  }
+  TierState& ts = *arenas_[tier];
+  std::lock_guard lock(ts.mu);
+  free_locked(ts, p, bytes);
 }
 
 void* MemoryManager::block_ptr(BlockId b) const {
@@ -165,100 +212,96 @@ TierId MemoryManager::block_tier(BlockId b) const {
   return blocks_[b].tier;
 }
 
-MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
-                                     bool copy_contents) {
+MigrateResult MemoryManager::try_swap(BlockId b, TierId dst,
+                                      bool copy_contents) {
   HMR_CHECK_MSG(dst < arenas_.size(), "bad tier id");
   MigrateResult r;
-
-  void* src_ptr = nullptr;
   std::uint64_t bytes = 0;
   TierId src_tier = 0;
-  void* old_shadow = nullptr;
-  TierId old_shadow_tier = 0;
+  void* dropped = nullptr;
   {
     std::lock_guard lock(blocks_mu_);
     HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
     BlockRec& rec = blocks_[b];
     HMR_CHECK_MSG(!rec.migrating,
                   "concurrent migration of one block (policy bug)");
+    if (rec.shadow == nullptr || rec.shadow_tier != dst) return r;
+    src_tier = rec.tier;
+    bytes = rec.bytes;
+    if (shadow_audit_ && std::memcmp(rec.shadow, rec.ptr, bytes) != 0) {
+      char msg[256];
+      std::snprintf(msg, sizeof msg,
+                    "block %llu (%llu bytes): shadow on tier %u differs "
+                    "from the primary on tier %u (written through "
+                    "block_ptr() without a ReadWrite/WriteOnly dependency)",
+                    static_cast<unsigned long long>(b),
+                    static_cast<unsigned long long>(bytes),
+                    static_cast<unsigned>(dst),
+                    static_cast<unsigned>(src_tier));
+      ::hmr::detail::check_failed("shadow coherent", __FILE__, __LINE__,
+                                  msg);
+    }
+    // The destination's shadow becomes the primary and the old primary
+    // stays behind as the new shadow.  (With copy_contents == false the
+    // writer is about to rewrite the block, so the swapped-out primary
+    // is dropped instead: its contents will no longer match.)
+    void* old_primary = rec.ptr;
+    rec.ptr = unlink_shadow(b);
+    rec.tier = dst;
+    --tier_blocks_[src_tier].primaries;
+    ++tier_blocks_[dst].primaries;
+    if (copy_contents) {
+      link_shadow(b, old_primary, src_tier);
+    } else {
+      dropped = old_primary;
+    }
+  }
+  if (dropped != nullptr) {
+    TierState& ts = *arenas_[src_tier];
+    std::lock_guard lock(ts.mu);
+    free_locked(ts, dropped, bytes);
+  }
+  zero_copy_admissions_.fetch_add(1, std::memory_order_relaxed);
+  zero_copy_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  // The logical migration still happened: traffic stats stay identical
+  // with zero-copy on or off (equivalence contract).
+  count_migration(src_tier, dst, bytes);
+  r.ok = true;
+  r.zero_copy = true;
+  return r;
+}
+
+MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
+                                     bool copy_contents) {
+  MigrateResult r = try_swap(b, dst, copy_contents);
+  if (r.ok) return r;
+
+  void* src_ptr = nullptr;
+  std::uint64_t bytes = 0;
+  TierId src_tier = 0;
+  {
+    std::lock_guard lock(blocks_mu_);
+    BlockRec& rec = blocks_[b];
     if (rec.tier == dst) {
       r.ok = true;
       return r;
     }
     src_tier = rec.tier;
     bytes = rec.bytes;
-
-    // Zero-copy admission: the destination still holds this block's
-    // shadow — a byte-identical stale residence — so the migration is
-    // a pointer swap.  No alloc, no copy, no free; the old primary
-    // stays behind as the new shadow.  (With copy_contents == false
-    // the writer is about to rewrite the block, so the swapped-out
-    // primary is dropped instead of retained: its contents will no
-    // longer match.)
-    if (rec.shadow != nullptr && rec.shadow_tier == dst) {
-      std::swap(rec.ptr, rec.shadow);
-      rec.shadow_tier = src_tier;
-      shadow_bytes_[dst] -= bytes;
-      if (copy_contents) {
-        shadow_bytes_[src_tier] += bytes;
-      } else {
-        old_shadow = rec.shadow;
-        old_shadow_tier = src_tier;
-        rec.shadow = nullptr;
-      }
-      rec.tier = dst;
-      zero_copy_admissions_.fetch_add(1, std::memory_order_relaxed);
-      zero_copy_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      r.ok = true;
-      r.zero_copy = true;
-    } else {
-      rec.migrating = true;
-      src_ptr = rec.ptr;
-      // A single shadow per block: this migration will retain the
-      // source buffer (or none), so any older shadow goes now — before
-      // step 1, since it may be holding the very capacity the
-      // destination alloc needs.
-      if (rec.shadow != nullptr) {
-        old_shadow = rec.shadow;
-        old_shadow_tier = rec.shadow_tier;
-        rec.shadow = nullptr;
-        shadow_bytes_[old_shadow_tier] -= bytes;
-      }
-    }
-  }
-  if (old_shadow != nullptr) {
-    TierState& ts = *arenas_[old_shadow_tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, old_shadow, bytes);
-  }
-  if (r.zero_copy) {
-    std::lock_guard lock(stats_mu_);
-    // The logical migration still happened: traffic stats stay
-    // identical with zero-copy on or off (equivalence contract).
-    MigrationStats& s = stats_[src_tier * arenas_.size() + dst];
-    ++s.count;
-    s.bytes += bytes;
-    return r;
+    rec.migrating = true;
+    src_ptr = rec.ptr;
+    // A single shadow per block: this migration will retain the source
+    // buffer (or none), so any older shadow goes now — before step 1,
+    // since it may be holding the very capacity the destination alloc
+    // needs.
+    drop_shadow(b);
   }
 
   // Step 1: create space on the destination (numa_alloc_onnode).
-  void* dst_ptr = nullptr;
-  {
-    const double t0 = now_s();
-    TierState& ts = *arenas_[dst];
-    std::lock_guard lock(ts.mu);
-    dst_ptr = alloc_locked(ts, bytes, &r.pooled);
-    r.alloc_s = now_s() - t0;
-  }
-  if (!dst_ptr && zero_copy_ && reclaim_shadows(dst) > 0) {
-    // Shadows are a cache, not a reservation: other blocks' stale
-    // residences on the destination yield to a real allocation.
-    const double t0 = now_s();
-    TierState& ts = *arenas_[dst];
-    std::lock_guard lock(ts.mu);
-    dst_ptr = alloc_locked(ts, bytes, &r.pooled);
-    r.alloc_s += now_s() - t0;
-  }
+  // Shadows on the destination yield to it (alloc_storage).
+  const double ta = now_s();
+  void* dst_ptr = alloc_storage(dst, bytes, &r.pooled);
+  r.alloc_s = now_s() - ta;
   if (!dst_ptr) {
     std::lock_guard lock(blocks_mu_);
     blocks_[b].migrating = false;
@@ -300,71 +343,39 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
     rec.ptr = dst_ptr;
     rec.tier = dst;
     rec.migrating = false;
-    if (retain) {
-      HMR_DCHECK(rec.shadow == nullptr);
-      rec.shadow = src_ptr;
-      rec.shadow_tier = src_tier;
-      shadow_bytes_[src_tier] += bytes;
-    }
+    --tier_blocks_[src_tier].primaries;
+    ++tier_blocks_[dst].primaries;
+    if (retain) link_shadow(b, src_ptr, src_tier);
   }
-  {
-    std::lock_guard lock(stats_mu_);
-    MigrationStats& s = stats_[src_tier * arenas_.size() + dst];
-    ++s.count;
-    s.bytes += bytes;
-  }
+  count_migration(src_tier, dst, bytes);
   r.ok = true;
   return r;
 }
 
 void MemoryManager::mark_dirty(BlockId b) {
-  void* shadow = nullptr;
-  TierId shadow_tier = 0;
-  std::uint64_t bytes = 0;
-  {
-    std::lock_guard lock(blocks_mu_);
-    HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
-    BlockRec& rec = blocks_[b];
-    if (rec.shadow == nullptr) return;
-    shadow = rec.shadow;
-    shadow_tier = rec.shadow_tier;
-    bytes = rec.bytes;
-    rec.shadow = nullptr;
-    shadow_bytes_[shadow_tier] -= bytes;
+  std::lock_guard lock(blocks_mu_);
+  HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
+  if (drop_shadow(b)) {
+    shadow_invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
-  shadow_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  TierState& ts = *arenas_[shadow_tier];
-  std::lock_guard lock(ts.mu);
-  free_locked(ts, shadow, bytes);
 }
 
-std::uint64_t MemoryManager::reclaim_shadows(TierId t) {
-  std::vector<std::pair<void*, std::uint64_t>> victims;
-  {
-    std::lock_guard lock(blocks_mu_);
-    for (BlockRec& rec : blocks_) {
-      if (!rec.live || rec.shadow == nullptr || rec.shadow_tier != t) {
-        continue;
-      }
-      victims.emplace_back(rec.shadow, rec.bytes);
-      rec.shadow = nullptr;
-      shadow_bytes_[t] -= rec.bytes;
-    }
-  }
-  if (victims.empty()) return 0;
-  std::uint64_t released = 0;
+void MemoryManager::reclaim_shadows(TierId t) {
+  TierBlocks& tb = tier_blocks_[t];
+  if (tb.shadows.empty()) return;
   TierState& ts = *arenas_[t];
   std::lock_guard lock(ts.mu);
-  for (const auto& [p, bytes] : victims) {
-    // Straight to the arena (bypassing the pool): reclaim exists to
-    // release capacity, and a pooled buffer only helps same-size
-    // requests.
-    ts.arena->free(p);
-    released += bytes;
+  // Straight to the arena (bypassing the pool): reclaim exists to
+  // release capacity, and a pooled buffer only helps same-size
+  // requests.
+  for (const BlockId b : tb.shadows) {
+    ts.arena->free(blocks_[b].shadow);
+    blocks_[b].shadow = nullptr;
   }
-  shadow_invalidations_.fetch_add(victims.size(),
+  shadow_invalidations_.fetch_add(tb.shadows.size(),
                                   std::memory_order_relaxed);
-  return released;
+  tb.shadows.clear();
+  tb.shadow_bytes = 0;
 }
 
 void MemoryManager::set_chunked_copy(std::uint64_t threshold,
@@ -392,11 +403,12 @@ TierUsage MemoryManager::usage(TierId t) const {
     u.used = ts.arena->used();
     u.pooled = ts.pool.pooled_bytes();
     u.high_water = ts.arena->high_water();
-    u.live_blocks = ts.arena->live_allocations();
+    u.largest_free = ts.arena->largest_free_range();
   }
   {
     std::lock_guard lock(blocks_mu_);
-    u.shadow = shadow_bytes_[t];
+    u.shadow = tier_blocks_[t].shadow_bytes;
+    u.live_blocks = tier_blocks_[t].primaries;
   }
   return u;
 }

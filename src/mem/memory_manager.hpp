@@ -58,11 +58,12 @@ struct MigrateResult {
 
 struct TierUsage {
   std::uint64_t capacity = 0;
-  std::uint64_t used = 0;        // live blocks + pooled buffers
+  std::uint64_t used = 0;        // live blocks + pooled buffers + shadows
   std::uint64_t pooled = 0;      // bytes parked in the pool
   std::uint64_t shadow = 0;      // bytes held by zero-copy shadows
   std::uint64_t high_water = 0;
-  std::uint64_t live_blocks = 0;
+  std::uint64_t largest_free = 0; // largest allocatable range
+  std::uint64_t live_blocks = 0;  // block primaries resident here
 };
 
 struct MigrationStats {
@@ -163,14 +164,30 @@ public:
   // free — which covers both a re-fetch of a block that was demoted
   // unmodified and a demotion returning to where the block came from.
   // Shadows are invalidated by writes (the runtime calls mark_dirty
-  // after every writing task) and reclaimed transparently when their
-  // tier runs out of space for real allocations.  One shadow per
-  // block: a newer residence replaces an older one.
+  // after every writing task) and are a cache, not a reservation: they
+  // may only occupy arena space live blocks have already touched, so an
+  // allocation that would grow its tier's touched extent — or fail —
+  // first reclaims every shadow on that tier.  One shadow per block: a
+  // newer residence replaces an older one.  rt::Runtime always enables
+  // shadows; a bare MemoryManager starts with them off.
 
   /// Enable/disable shadow retention.  Configure before traffic;
   /// disabling does not free already-retained shadows.
   void set_zero_copy(bool on) { zero_copy_ = on; }
   bool zero_copy_enabled() const { return zero_copy_; }
+
+  /// Swap-only migration: when `dst` holds `b`'s valid shadow, complete
+  /// the migration as a pointer swap and return ok (zero_copy set);
+  /// otherwise do nothing and return ok = false.  No alloc, copy or
+  /// free, so the runtime runs it on whichever thread receives the
+  /// command.  `copy_contents` has migrate()'s meaning.
+  MigrateResult try_swap(BlockId b, TierId dst, bool copy_contents = true);
+
+  /// Coherence audit: every swap first compares the shadow with the
+  /// primary and aborts, naming the block, if they differ — i.e. if
+  /// someone wrote through block_ptr() without a ReadWrite/WriteOnly
+  /// dependency (or a mark_dirty call).  Costs one memcmp per swap.
+  void set_shadow_audit(bool on) { shadow_audit_ = on; }
 
   /// The block's contents changed: drop its shadow (if any).  Must be
   /// called between a write and the block's next migration; the
@@ -212,9 +229,11 @@ private:
     bool live = false;
     bool migrating = false; // guards the paper's "one migration at a time"
     // Zero-copy shadow: a stale residence whose contents are
-    // byte-identical to ptr's (or nullptr).  Guarded by blocks_mu_.
+    // byte-identical to ptr's (or nullptr), and its index in its tier's
+    // shadow list.  Guarded by blocks_mu_.
     void* shadow = nullptr;
     TierId shadow_tier = 0;
+    std::size_t shadow_slot = 0;
   };
 
   struct TierState {
@@ -223,16 +242,35 @@ private:
     mutable std::mutex mu;
   };
 
-  void* alloc_locked(TierState& ts, std::uint64_t bytes, bool* from_pool);
+  /// Per-tier block bookkeeping, guarded by blocks_mu_.
+  struct TierBlocks {
+    std::vector<BlockId> shadows; // blocks whose shadow lives here
+    std::uint64_t shadow_bytes = 0;
+    std::uint64_t primaries = 0;
+  };
+
+  void* alloc_locked(TierState& ts, std::uint64_t bytes, bool* from_pool,
+                     bool may_grow);
   void free_locked(TierState& ts, void* p, std::uint64_t bytes);
-  /// Free every retained shadow on tier `t` (capacity reclaim before
-  /// failing a real allocation).  Returns bytes released.  Takes
-  /// blocks_mu_ then t's tier mutex, never nested.
-  std::uint64_t reclaim_shadows(TierId t);
+  /// Allocate block storage on tier `t`, reclaiming the tier's shadows
+  /// first when the allocation would grow the touched extent or fail.
+  void* alloc_storage(TierId t, std::uint64_t bytes, bool* from_pool);
+  // Shadow maintenance, all with blocks_mu_ held.  Shadows are freed
+  // inside that section (tier mutex nested inside blocks_mu_, never the
+  // reverse), so a shadow is always either linked or back in its arena.
+  /// Free every retained shadow on tier `t`.
+  void reclaim_shadows(TierId t);
+  /// Free b's shadow; false when it had none.
+  bool drop_shadow(BlockId b);
+  void link_shadow(BlockId b, void* p, TierId t);
+  /// Unlink b's shadow without freeing it (it becomes the primary).
+  void* unlink_shadow(BlockId b);
+  void count_migration(TierId src, TierId dst, std::uint64_t bytes);
 
   std::vector<std::unique_ptr<TierState>> arenas_;
   bool pool_enabled_;
   bool zero_copy_ = false;
+  bool shadow_audit_ = false;
   std::uint64_t chunk_threshold_ = 0; // 0 = chunking off
   ChunkRing ring_;
 
@@ -242,7 +280,7 @@ private:
 
   mutable std::mutex blocks_mu_;
   std::vector<BlockRec> blocks_;
-  std::vector<std::uint64_t> shadow_bytes_; // per tier, under blocks_mu_
+  std::vector<TierBlocks> tier_blocks_;
 
   // stats_[src * num_tiers + dst]
   std::vector<MigrationStats> stats_;

@@ -143,7 +143,10 @@ Runtime::Runtime(Config cfg)
   if (cfg_.chunk_threshold > 0) {
     mm_->set_chunked_copy(cfg_.chunk_threshold, cfg_.chunk_bytes);
   }
-  if (cfg_.zero_copy) mm_->set_zero_copy(true);
+  // Shadow residency is the runtime's only migration path: clean
+  // blocks move back and forth as pointer swaps (docs/PERF.md §4).
+  mm_->set_zero_copy(true);
+  mm_->set_shadow_audit(telemetry::audit_enabled(cfg_.audit));
   if (sharded_eligible(cfg_)) {
     ShardedEngine::Config sc;
     sc.num_pes = cfg_.num_pes;
@@ -438,7 +441,7 @@ void Runtime::io_loop(int io) {
         w.cmds.pop_front();
       }
     }
-    perform_transfer_batch(batch, lane);
+    perform_transfers(batch, lane);
   }
 }
 
@@ -465,10 +468,8 @@ void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
     // OOCTask and hand it to the policy engine.
     const ooc::TaskId id = next_task_.fetch_add(1);
     std::vector<mem::BlockId> writes;
-    if (cfg_.zero_copy) {
-      for (const auto& d : msg.deps) {
-        if (d.mode != ooc::AccessMode::ReadOnly) writes.push_back(d.block);
-      }
+    for (const auto& d : msg.deps) {
+      if (d.mode != ooc::AccessMode::ReadOnly) writes.push_back(d.block);
     }
     {
       ReadyTask rt;
@@ -500,10 +501,9 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
           static_cast<std::uint64_t>((ts - task.t_arrive) * 1e9));
     }
     task.body();
-    // Zero-copy runs: written blocks' shadows are stale now.  Safe
-    // here — the engine still holds this task's claims, so none of
-    // these blocks can be mid-migration until the completion event
-    // below releases them.
+    // Written blocks' shadows are stale now.  Safe here — the engine
+    // still holds this task's claims, so none of these blocks can be
+    // mid-migration until the completion event below releases them.
     for (const mem::BlockId b : task.writes) mm_->mark_dirty(b);
     const double te = now();
     tracer_.record(pe, trace::Category::Compute, ts, te, task.id);
@@ -620,7 +620,6 @@ std::vector<ooc::Command> Runtime::ev_completions(
 }
 
 void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
-  const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
   const double ts = now();
   // A write-only dependence's old contents are dead: skip the memcpy
   // (the paper's migration always copies; this is the optional
@@ -631,17 +630,39 @@ void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
   }
   const auto res = mm_->migrate(cmd.block, cmd.dst_tier,
                                 /*copy_contents=*/!cmd.nocopy);
-  HMR_CHECK_MSG(res.ok,
-                "migration failed: tier fragmentation exceeded the policy "
-                "engine's byte budget");
-  const double te = now();
+  if (!res.ok) {
+    // The engine's byte budget admitted this migration, so failing it
+    // is fragmentation or an accounting/race bug; the numbers tell
+    // which.
+    const mem::TierUsage u = mm_->usage(cmd.dst_tier);
+    char msg[320];
+    std::snprintf(
+        msg, sizeof msg,
+        "migration of block %llu (%llu bytes) to tier %u failed: used "
+        "%llu, shadow %llu, largest free range %llu of capacity %llu "
+        "(tier fragmentation exceeded the policy engine's byte budget)",
+        static_cast<unsigned long long>(cmd.block),
+        static_cast<unsigned long long>(mm_->block_bytes(cmd.block)),
+        static_cast<unsigned>(cmd.dst_tier),
+        static_cast<unsigned long long>(u.used),
+        static_cast<unsigned long long>(u.shadow),
+        static_cast<unsigned long long>(u.largest_free),
+        static_cast<unsigned long long>(u.capacity));
+    ::hmr::detail::check_failed("res.ok", __FILE__, __LINE__, msg);
+  }
+  // Traced traffic is *physical* bytes: nocopy skips the copy by
+  // contract, zero-copy admissions skip it via a shadow swap.
+  record_migration(cmd, !cmd.nocopy && !res.zero_copy, ts, now(),
+                   trace_lane);
+}
+
+void Runtime::record_migration(const ooc::Command& cmd, bool copied,
+                               double ts, double te, int trace_lane) {
+  const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
   // Interval.task == 0 means "not task-bound"; the engine uses
   // kInvalidTask for untriggered evictions.
   const ooc::TaskId cause = cmd.task == ooc::kInvalidTask ? 0 : cmd.task;
-  // Traced traffic is *physical* bytes: nocopy skips the copy by
-  // contract, zero-copy admissions skip it via a shadow swap.
-  const std::uint64_t bytes =
-      cmd.nocopy || res.zero_copy ? 0 : mm_->block_bytes(cmd.block);
+  const std::uint64_t bytes = copied ? mm_->block_bytes(cmd.block) : 0;
   tracer_.record_migration(
       trace_lane, fetch ? trace::Category::Prefetch : trace::Category::Evict,
       ts, te, cause, cmd.src_tier, cmd.dst_tier, bytes);
@@ -659,111 +680,93 @@ void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
   }
 }
 
-void Runtime::perform_transfer(const ooc::Command& cmd, int trace_lane) {
-  do_migrate(cmd, trace_lane);
-  std::vector<ooc::Command> cmds;
-  const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
-  if (tenancy_) {
+std::vector<ooc::Command> Runtime::ev_transfers(
+    const std::vector<ooc::Command>& done) {
+  if (tenancy_ || sharded_) {
     std::unique_lock<std::mutex> elk;
     if (!sharded_) {
       trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
       elk = std::unique_lock(engine_mu_, std::adopt_lock);
     }
-    cmds = fetch ? tenancy_->on_fetch_complete(cmd.block)
-                 : tenancy_->on_evict_complete(cmd.block);
-  } else if (sharded_) {
-    cmds = fetch ? sharded_->on_fetch_complete(cmd.block)
-                 : sharded_->on_evict_complete(cmd.block);
-  } else {
-    trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-    std::lock_guard elk(engine_mu_, std::adopt_lock);
-    cmds = fetch ? engine_.on_fetch_complete(cmd.block)
-                 : engine_.on_evict_complete(cmd.block);
-    observe_locked(cmds);
+    ooc::Engine& e = tenancy_ ? static_cast<ooc::Engine&>(*tenancy_)
+                              : static_cast<ooc::Engine&>(*sharded_);
+    std::vector<ooc::Command> out;
+    for (const auto& cmd : done) {
+      auto c = cmd.kind == ooc::Command::Kind::Fetch
+                   ? e.on_fetch_complete(cmd.block)
+                   : e.on_evict_complete(cmd.block);
+      out.insert(out.end(), std::make_move_iterator(c.begin()),
+                 std::make_move_iterator(c.end()));
+    }
+    return out;
   }
-  process(std::move(cmds), trace_lane);
-  ops_sub(1);
+  std::vector<ooc::PolicyEngine::Event> evs;
+  evs.reserve(done.size());
+  for (const auto& cmd : done) {
+    evs.push_back(cmd.kind == ooc::Command::Kind::Fetch
+                      ? ooc::PolicyEngine::Event::fetched(cmd.block)
+                      : ooc::PolicyEngine::Event::evicted(cmd.block));
+  }
+  trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
+  std::lock_guard elk(engine_mu_, std::adopt_lock);
+  std::vector<ooc::Command> out = engine_.step_batch(std::move(evs));
+  observe_locked(out);
+  return out;
 }
 
-void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
-                                     int trace_lane) {
-  if (cmds.size() == 1) {
-    perform_transfer(cmds.front(), trace_lane);
-    return;
-  }
+void Runtime::perform_transfers(const std::vector<ooc::Command>& cmds,
+                                int trace_lane) {
   for (const auto& cmd : cmds) do_migrate(cmd, trace_lane);
-  std::vector<ooc::Command> out;
-  if (tenancy_) {
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    for (const auto& cmd : cmds) {
-      auto c = cmd.kind == ooc::Command::Kind::Fetch
-                   ? tenancy_->on_fetch_complete(cmd.block)
-                   : tenancy_->on_evict_complete(cmd.block);
-      out.insert(out.end(), std::make_move_iterator(c.begin()),
-                 std::make_move_iterator(c.end()));
-    }
-  } else if (sharded_) {
-    for (const auto& cmd : cmds) {
-      auto c = cmd.kind == ooc::Command::Kind::Fetch
-                   ? sharded_->on_fetch_complete(cmd.block)
-                   : sharded_->on_evict_complete(cmd.block);
-      out.insert(out.end(), std::make_move_iterator(c.begin()),
-                 std::make_move_iterator(c.end()));
-    }
-  } else {
-    std::vector<ooc::PolicyEngine::Event> evs;
-    evs.reserve(cmds.size());
-    for (const auto& cmd : cmds) {
-      evs.push_back(cmd.kind == ooc::Command::Kind::Fetch
-                        ? ooc::PolicyEngine::Event::fetched(cmd.block)
-                        : ooc::PolicyEngine::Event::evicted(cmd.block));
-    }
-    trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-    std::lock_guard elk(engine_mu_, std::adopt_lock);
-    out = engine_.step_batch(std::move(evs));
-    observe_locked(out);
-  }
-  process(std::move(out), trace_lane);
+  process(ev_transfers(cmds), trace_lane);
   ops_sub(cmds.size());
 }
 
 void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
-  for (auto& c : cmds) {
-    switch (c.kind) {
-      case ooc::Command::Kind::Run: {
-        ReadyTask task;
-        {
-          PendingShard& ps = pending_[static_cast<std::size_t>(c.pe)];
-          std::lock_guard lk(ps.mu);
-          auto it = ps.map.find(c.task);
-          HMR_CHECK_MSG(it != ps.map.end(), "run of unknown task");
-          task = std::move(it->second);
-          ps.map.erase(it);
+  // Swaps completed here feed their completion events back into the
+  // loop.  Their ops stay counted until the whole cascade has been
+  // dispatched, so wait_idle() cannot observe quiescence mid-way.
+  std::vector<ooc::Command> swapped;
+  std::uint64_t swaps = 0;
+  while (!cmds.empty()) {
+    for (auto& c : cmds) {
+      switch (c.kind) {
+        case ooc::Command::Kind::Run: {
+          ReadyTask task;
+          {
+            PendingShard& ps = pending_[static_cast<std::size_t>(c.pe)];
+            std::lock_guard lk(ps.mu);
+            auto it = ps.map.find(c.task);
+            HMR_CHECK_MSG(it != ps.map.end(), "run of unknown task");
+            task = std::move(it->second);
+            ps.map.erase(it);
+          }
+          // Deps are resident from here; start - t_ready is pure run
+          // queue wait, t_ready - t_arrive is the fetch wait.
+          if (attrib_) task.t_ready = now();
+          PeWorker& w = *pes_[static_cast<std::size_t>(c.pe)];
+          std::lock_guard lk(w.mu);
+          w.run_q.push_back(std::move(task));
+          w.cv.notify_one();
+          break;
         }
-        // Deps are resident from here; start - t_ready is pure run
-        // queue wait, t_ready - t_arrive is the fetch wait.
-        if (attrib_) task.t_ready = now();
-        PeWorker& w = *pes_[static_cast<std::size_t>(c.pe)];
-        std::lock_guard lk(w.mu);
-        w.run_q.push_back(std::move(task));
-        w.cv.notify_one();
-        break;
-      }
-      case ooc::Command::Kind::Fetch:
-      case ooc::Command::Kind::Evict: {
-        ops_add(1);
-        if (c.kind == ooc::Command::Kind::Fetch) {
-          fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
-          fetch_dispatched_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (c.agent == ooc::kWorkerInline) {
-          // Synchronous pre/post-processing on the current thread.
-          perform_transfer(c, context_lane);
-        } else {
+        case ooc::Command::Kind::Fetch:
+        case ooc::Command::Kind::Evict: {
+          ops_add(1);
+          if (c.kind == ooc::Command::Kind::Fetch) {
+            fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
+            fetch_dispatched_.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (c.agent == ooc::kWorkerInline) {
+            // Synchronous pre/post-processing on the current thread.
+            perform_transfers({c}, context_lane);
+            break;
+          }
+          const double ts = now();
+          if (mm_->try_swap(c.block, c.dst_tier, !c.nocopy).ok) {
+            record_migration(c, /*copied=*/false, ts, now(), context_lane);
+            swapped.push_back(c);
+            break;
+          }
           HMR_CHECK(!io_.empty());
           IoWorker& w =
               *io_[static_cast<std::size_t>(c.agent) % io_.size()];
@@ -784,8 +787,8 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
               const auto winner = tenancy_->command_tenant(c);
               for (auto it = pos; it != w.cmds.end(); ++it) {
                 if (it->kind == ooc::Command::Kind::Fetch) {
-                  tenancy_->note_displacement(winner,
-                                              tenancy_->command_tenant(*it));
+                  tenancy_->note_displacement(
+                      winner, tenancy_->command_tenant(*it));
                 }
               }
             }
@@ -794,11 +797,16 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
             w.cmds.push_back(c);
           }
           w.cv.notify_one();
+          break;
         }
-        break;
       }
     }
+    if (swapped.empty()) break;
+    swaps += swapped.size();
+    cmds = ev_transfers(swapped);
+    swapped.clear();
   }
+  if (swaps > 0) ops_sub(swaps);
 }
 
 void Runtime::observe_locked(const std::vector<ooc::Command>& cmds) {

@@ -15,7 +15,9 @@
 //   * IO threads (0, 1 or one per PE, by strategy) perform the
 //     asynchronous fetches and evictions; synchronous strategies run
 //     them inline on the worker, exactly like the paper's
-//     pre/post-processing steps.
+//     pre/post-processing steps.  A migration back onto a block's
+//     clean shadow copy is a pointer swap and completes inline on
+//     whichever thread receives the command (docs/PERF.md §4).
 //
 // Scheduling hot path: the default MultiIo + eager-eviction
 // configuration drives a ShardedEngine — per-PE-group engine shards,
@@ -130,16 +132,6 @@ public:
     /// on one large transfer.  0 disables chunking.
     std::uint64_t chunk_threshold = 1ull << 20;
     std::uint64_t chunk_bytes = 256ull << 10;
-    /// Zero-copy admission (docs/PERF.md §4): copying migrations
-    /// retain their source buffer as a byte-identical shadow, and a
-    /// later migration whose destination still holds a valid shadow is
-    /// admitted as a pointer swap — no alloc, no memcpy, no free.  The
-    /// runtime invalidates a block's shadow after every task that
-    /// declared it ReadWrite/WriteOnly; code writing through
-    /// block_ptr() outside a declared dependency must call
-    /// memory().mark_dirty() itself.  Policy-inert: engine decisions
-    /// and migration stats are identical with this on or off.
-    bool zero_copy = false;
     /// Back tier arenas with mmap + MADV_HUGEPAGE instead of new[];
     /// HMR_NUMA builds additionally bind each arena to its model
     /// tier's numa_node.  Graceful fallback at every step.
@@ -265,6 +257,10 @@ public:
   mem::BlockId alloc_block(std::uint64_t bytes);
 
   /// Current storage of a block (moves as the runtime migrates it).
+  /// Migrated blocks keep clean shadow copies (docs/PERF.md §4), so a
+  /// write through this pointer outside a ReadWrite/WriteOnly
+  /// dependency must be followed by memory().mark_dirty(b); audited
+  /// runs abort on the first stale swap.
   void* block_ptr(mem::BlockId b) { return mm_->block_ptr(b); }
 
   /// Release a block.  It must be idle: no outstanding task depends on
@@ -382,8 +378,8 @@ private:
     double t_arrive = 0; // interception time (metrics runs only)
     double t_ready = 0;  // Run-command time: deps resident, queued
     std::uint32_t tenant = 0;
-    // Blocks this task declared writable (zero-copy runs only): their
-    // shadows are invalidated right after the body executes.
+    // Blocks this task declared writable: their shadows are
+    // invalidated right after the body executes.
     std::vector<mem::BlockId> writes;
   };
 
@@ -419,17 +415,28 @@ private:
   void io_loop(int io);
   void run_ready_batch(int pe, std::vector<ReadyTask>& tasks);
   void intercept_batch(int pe, std::vector<Msg>& msgs);
-  void perform_transfer(const ooc::Command& cmd, int trace_lane);
-  void perform_transfer_batch(const std::vector<ooc::Command>& cmds,
-                              int trace_lane);
-  /// Execute one migration (step 1-3) and record its trace interval.
+  /// Execute migrations (step 1-3), deliver their completion events
+  /// and retire them.
+  void perform_transfers(const std::vector<ooc::Command>& cmds,
+                         int trace_lane);
+  /// Execute one migration (step 1-3) and record it.
   void do_migrate(const ooc::Command& cmd, int trace_lane);
+  /// Trace interval, latency histogram, flight record and fetch
+  /// bookkeeping of one finished migration.
+  void record_migration(const ooc::Command& cmd, bool copied, double ts,
+                        double te, int trace_lane);
+  /// Dispatch engine commands.  Fetch/Evict commands whose destination
+  /// holds the block's shadow complete right here as swaps; only real
+  /// copies go to the IO threads.
   void process(std::vector<ooc::Command> cmds, int context_lane);
   /// Batch of arrival events against the active engine.
   std::vector<ooc::Command> ev_arrivals(std::vector<ooc::TaskDesc> descs);
   /// Batch of completion events for tasks that ran on `pe`.
   std::vector<ooc::Command> ev_completions(
       const std::vector<ReadyTask>& tasks, int pe);
+  /// Batch of fetch/evict completion events for finished migrations.
+  std::vector<ooc::Command> ev_transfers(
+      const std::vector<ooc::Command>& done);
   /// `outstanding_msgs_` -= n, waking idle waiters on the final one.
   void msgs_add(std::uint64_t n);
   void note_done(std::uint64_t n);

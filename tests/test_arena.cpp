@@ -68,6 +68,20 @@ TEST(TierArena, HighWaterTracksPeak) {
   EXPECT_EQ(a.high_water(), 768 * KiB);
 }
 
+TEST(TierArena, TouchedExtentBoundsNonGrowingAllocs) {
+  TierArena a("t", 1 * MiB);
+  void* p = a.alloc(64 * KiB);
+  EXPECT_EQ(a.touched_extent(), 64 * KiB);
+  a.free(p);
+  EXPECT_EQ(a.touched_extent(), 64 * KiB); // never shrinks
+  // Reusing touched space is allowed; going past it is not.
+  void* q = a.alloc(64 * KiB, /*may_grow=*/false);
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(a.alloc(1, /*may_grow=*/false), nullptr);
+  EXPECT_NE(a.alloc(64 * KiB), nullptr);
+  EXPECT_EQ(a.touched_extent(), 128 * KiB);
+}
+
 TEST(TierArena, ZeroCapacityArenaRejectsAll) {
   TierArena a("empty", 0);
   EXPECT_EQ(a.alloc(1), nullptr);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -285,6 +286,130 @@ TEST(MemoryManagerZeroCopy, DisabledManagerNeverRetains) {
   EXPECT_EQ(mm.zero_copy_admissions(), 0u);
   EXPECT_EQ(mm.usage(0).shadow, 0u);
   EXPECT_EQ(mm.usage(1).shadow, 0u);
+}
+
+TEST(MemoryManagerZeroCopy, ShadowsStayWithinTheTouchedExtent) {
+  auto mm = make_two_tier();
+  mm.set_zero_copy(true);
+  const BlockId a = mm.register_block(256 * KiB, 0);
+  const BlockId b = mm.register_block(256 * KiB, 0);
+  ASSERT_TRUE(mm.migrate(a, 1).ok);
+  ASSERT_TRUE(mm.migrate(a, 0).zero_copy); // a's fast copy stays behind
+  ASSERT_EQ(mm.usage(1).shadow, 256 * KiB);
+
+  // b's fetch would have to grow the fast tier's touched extent past
+  // a's shadow: the shadow yields and b reuses its space.
+  ASSERT_TRUE(mm.migrate(b, 1).ok);
+  EXPECT_EQ(mm.usage(1).shadow, 0u);
+  EXPECT_EQ(mm.tier_arena(1).touched_extent(), 256 * KiB);
+  EXPECT_EQ(mm.usage(1).high_water, 256 * KiB);
+  EXPECT_EQ(mm.usage(1).live_blocks, 1u);
+
+  // Shadows inside the touched extent survive: with both blocks once
+  // resident, a's round trip leaves b's shadow alone.
+  ASSERT_TRUE(mm.migrate(a, 1).ok);
+  ASSERT_TRUE(mm.migrate(b, 0).zero_copy);
+  ASSERT_TRUE(mm.migrate(a, 0).zero_copy);
+  EXPECT_EQ(mm.usage(1).shadow, 512 * KiB);
+  EXPECT_TRUE(mm.migrate(a, 1).zero_copy);
+  EXPECT_EQ(mm.usage(1).shadow, 256 * KiB);
+  EXPECT_EQ(mm.tier_arena(1).touched_extent(), 512 * KiB);
+}
+
+TEST(MemoryManagerZeroCopy, LiveBlocksCountsPrimariesOnly) {
+  auto mm = make_two_tier(/*pool=*/true);
+  mm.set_zero_copy(true);
+  const BlockId a = mm.register_block(64 * KiB, 0);
+  const BlockId b = mm.register_block(64 * KiB, 0);
+  ASSERT_TRUE(mm.migrate(a, 1).ok);
+  mm.mark_dirty(a); // a's slow shadow goes to the slow pool
+  EXPECT_EQ(mm.usage(0).live_blocks, 1u);
+  EXPECT_GT(mm.usage(0).pooled, 0u);
+  EXPECT_EQ(mm.usage(1).live_blocks, 1u);
+  ASSERT_TRUE(mm.migrate(a, 0).ok); // a's fast buffer stays as a shadow
+  EXPECT_EQ(mm.usage(0).live_blocks, 2u);
+  EXPECT_EQ(mm.usage(1).live_blocks, 0u);
+  EXPECT_EQ(mm.usage(1).shadow, 64 * KiB);
+  mm.unregister_block(a);
+  mm.unregister_block(b);
+  EXPECT_EQ(mm.usage(0).live_blocks, 0u);
+}
+
+TEST(MemoryManagerZeroCopy, CoherenceAuditNamesTheBlock) {
+  auto mm = make_two_tier();
+  mm.set_zero_copy(true);
+  mm.set_shadow_audit(true);
+  const BlockId b = mm.register_block(64 * KiB, 0);
+  std::memset(mm.block_ptr(b), 1, 64 * KiB);
+  ASSERT_TRUE(mm.migrate(b, 1).ok);
+  EXPECT_TRUE(mm.migrate(b, 0).zero_copy); // clean: the audit passes
+  ASSERT_TRUE(mm.migrate(b, 1).zero_copy);
+  // A write nobody declared: the shadow left on tier 0 is now stale.
+  static_cast<unsigned char*>(mm.block_ptr(b))[100] = 2;
+  EXPECT_DEATH((void)mm.migrate(b, 0), "block 0 .*differs");
+}
+
+TEST(MemoryManagerZeroCopy, TrySwapDoesNothingWithoutAShadow) {
+  auto mm = make_two_tier();
+  mm.set_zero_copy(true);
+  const BlockId b = mm.register_block(64 * KiB, 0);
+  EXPECT_FALSE(mm.try_swap(b, 1).ok);
+  EXPECT_EQ(mm.block_tier(b), 0u);
+  ASSERT_TRUE(mm.migrate(b, 1).ok);
+  EXPECT_FALSE(mm.try_swap(b, 1).ok); // already there, shadow elsewhere
+  const auto r = mm.try_swap(b, 0);
+  EXPECT_TRUE(r.ok && r.zero_copy);
+  EXPECT_EQ(mm.block_tier(b), 0u);
+  EXPECT_EQ(mm.migration_stats(1, 0).count, 1u);
+}
+
+TEST(MemoryManagerConcurrency, ReclaimRaceNeverFailsAMigration) {
+  // Regression: a reclaim pass used to retry its allocation only when
+  // it had freed something itself, so a thread that found the shadows
+  // already unlinked by another (not yet freed) failed with the space
+  // about to come free.  Equal-size blocks rule out fragmentation:
+  // every migration must succeed.  Two groups of blocks take turns in
+  // a fast tier that the other group's shadows fill completely.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 4;
+  constexpr int kGroup = kThreads * kPerThread;
+  constexpr std::uint64_t kBytes = 64 * KiB;
+  MemoryManager mm({{"DDR4", 2 * kGroup * kBytes},
+                    {"MCDRAM", kGroup * kBytes}});
+  mm.set_zero_copy(true);
+  std::vector<BlockId> ids;
+  for (int i = 0; i < 2 * kGroup; ++i) {
+    ids.push_back(mm.register_block(kBytes, 0));
+    ASSERT_NE(ids.back(), kInvalidBlock);
+  }
+  std::atomic<int> failures{0};
+  std::atomic<int> arrived{0};
+  auto barrier = [&](int phase) {
+    arrived.fetch_add(1);
+    while (arrived.load() < kThreads * phase) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      int phase = 0;
+      for (int round = 0; round < 64; ++round) {
+        const int base = (round % 2) * kGroup + t * kPerThread;
+        for (TierId dst : {TierId{1}, TierId{0}}) {
+          for (int j = 0; j < kPerThread; ++j) {
+            if (!mm.migrate(ids[static_cast<std::size_t>(base + j)], dst)
+                     .ok) {
+              failures.fetch_add(1);
+            }
+          }
+          barrier(++phase);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(mm.shadow_invalidations(), 0u);
+  EXPECT_EQ(mm.usage(1).live_blocks, 0u);
 }
 
 TEST(MemoryManager, DeadBlockAccessDies) {

@@ -442,8 +442,13 @@ TEST(RtConcurrency, ChunkedMigrationInsideTheRuntime) {
   for (std::uint64_t i = 0; i < h.size(); ++i) {
     ASSERT_EQ(h[i], i * 3 + 5);
   }
-  // 4 fetches + 4 evicts of a 4 MiB block, all above the threshold.
-  EXPECT_EQ(rt.memory().chunk_ring().jobs(), 8u);
+  // 4 fetches + 4 evicts of a 4 MiB block, all above the threshold:
+  // each one is either a chunked copy or a shadow swap.
+  const auto& mm = rt.memory();
+  EXPECT_EQ(mm.chunk_ring().jobs() + mm.zero_copy_admissions(), 8u);
+  EXPECT_EQ(mm.migration_stats(cfg.model.slow, cfg.model.fast).count +
+                mm.migration_stats(cfg.model.fast, cfg.model.slow).count,
+            8u);
 }
 
 } // namespace

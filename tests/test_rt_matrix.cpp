@@ -95,10 +95,9 @@ TEST_P(RtMatrix, PipelineComputesCorrectly) {
   if (ooc::strategy_moves_data(strategy)) {
     EXPECT_GT(st.fetches, 0u);
     if (eager) {
-      // Everything returns to the slow tier at quiescence.
-      EXPECT_EQ(rt.memory().usage(cfg.model.fast).used -
-                    rt.memory().usage(cfg.model.fast).pooled,
-                0u);
+      // Every block returns to the slow tier at quiescence (clean
+      // copies may stay behind in the fast tier as shadows).
+      EXPECT_EQ(rt.memory().usage(cfg.model.fast).live_blocks, 0u);
     }
   }
 }

@@ -152,8 +152,14 @@ TEST(Runtime, MemoryPoolOptionWorks) {
     rt.wait_idle();
   }
   EXPECT_EQ(runs.load(), 8);
-  // Migration buffers got recycled through the pool.
-  EXPECT_GT(rt.memory().usage(cfg.model.fast).pooled, 0u);
+  // Migration buffers got recycled through the pool.  With shadows the
+  // fast buffer stays behind on eviction, so the recycling happens on
+  // whichever tier frees buffers: the slow one, where each write drops
+  // the block's shadow.
+  const auto& mm = rt.memory();
+  EXPECT_GT(mm.pool_stats(cfg.model.fast).hits +
+                mm.pool_stats(cfg.model.slow).hits,
+            0u);
 }
 
 TEST(Runtime, SharedReadOnlyBlockRefcounting) {
@@ -370,9 +376,11 @@ struct ZeroCopyRun {
 
 ZeroCopyRun run_zero_copy_workload(bool zero_copy) {
   auto cfg = small_config(ooc::Strategy::MultiIo, /*pes=*/2);
-  cfg.zero_copy = zero_copy;
   ZeroCopyRun out;
   Runtime rt(cfg);
+  // The runtime always retains shadows; the reference leg turns them
+  // off before the first block exists.
+  if (!zero_copy) rt.memory().set_zero_copy(false);
   constexpr int kBlocks = 12;
   std::vector<std::unique_ptr<IoHandle<double>>> hs;
   for (int b = 0; b < kBlocks; ++b) {
@@ -436,6 +444,26 @@ TEST(Runtime, ZeroCopyAdmissionIsTransparentUnderThreads) {
   for (std::size_t b = 0; b < on.contents.size(); ++b) {
     ASSERT_EQ(on.contents[b], off.contents[b]) << "block " << b;
   }
+}
+
+TEST(RuntimeDeathTest, WriteUnderReadOnlyDependencyFailsCoherenceAudit) {
+  // The one contract shadows add: writes go through declared
+  // ReadWrite/WriteOnly dependencies.  This body writes under a
+  // ReadOnly one, so the slow-tier shadow the fetch left behind is
+  // stale when the eager eviction swaps back onto it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto cfg = small_config(ooc::Strategy::MultiIo);
+        cfg.audit = 1;
+        Runtime rt(cfg);
+        IoHandle<double> h(rt, 8 * KiB);
+        for (std::uint64_t i = 0; i < h.size(); ++i) h[i] = 1.0;
+        rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadOnly)},
+                         [&h] { h[0] = 2.0; });
+        rt.wait_idle();
+      },
+      "block [0-9]+ .*differs");
 }
 
 } // namespace
