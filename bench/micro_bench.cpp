@@ -166,36 +166,6 @@ void BM_PolicyTaskCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyTaskCycle);
 
-void BM_PolicyTaskCycleBatched(benchmark::State& state) {
-  // BM_PolicyTaskCycle's four events handed to the engine as one
-  // step_batch call — the amortization the threaded runtime's PE/IO
-  // loops use.  The delta against BM_PolicyTaskCycle is the per-call
-  // dispatch overhead (the lock amortization on top of it only shows
-  // under contention; bench/rt_contention measures that part).
-  ooc::PolicyEngine::Config cfg;
-  cfg.strategy = ooc::Strategy::MultiIo;
-  cfg.num_pes = 4;
-  cfg.fast_capacity = 1 * GiB;
-  ooc::PolicyEngine eng(cfg);
-  eng.add_block(0, 1 * MiB);
-  ooc::TaskId next = 1;
-  for (auto _ : state) {
-    ooc::TaskDesc t;
-    t.id = next++;
-    t.pe = 0;
-    t.deps = {{0, ooc::AccessMode::ReadWrite}};
-    std::vector<ooc::PolicyEngine::Event> ev;
-    ev.push_back(ooc::PolicyEngine::Event::arrived(t));
-    ev.push_back(ooc::PolicyEngine::Event::fetched(0));
-    ev.push_back(ooc::PolicyEngine::Event::completed(t.id));
-    ev.push_back(ooc::PolicyEngine::Event::evicted(0));
-    auto cmds = eng.step_batch(std::move(ev));
-    benchmark::DoNotOptimize(cmds.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PolicyTaskCycleBatched);
-
 void BM_ChunkedMigrateRoundTrip(benchmark::State& state) {
   // BM_MigrateRoundTrip with the copy streamed through the ChunkRing
   // (256 KiB chunks), with 0 or 2 helper threads assisting.  Compare
@@ -364,8 +334,8 @@ void BM_TracerRecord(benchmark::State& state) {
 BENCHMARK(BM_TracerRecord);
 
 void BM_TracerRecordSerial(benchmark::State& state) {
-  // The deprecated mutex + push_back path (Options::serial /
-  // HMR_TRACE_SERIAL=1) for comparison with BM_TracerRecord.
+  // The mutex + push_back path (Options::serial) for comparison with
+  // BM_TracerRecord.
   trace::Tracer::Options opt;
   opt.serial = true;
   trace::Tracer t(true, opt);

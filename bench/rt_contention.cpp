@@ -2,14 +2,12 @@
 // runtime's scheduler hot path.
 //
 // Two questions, answered on this host:
-//   1. What does de-serializing the policy engine buy?  The same
-//      fine-grained MultiIo workload runs against (a) the serial
-//      engine under one global mutex with per-event locking (the
-//      pre-sharding runtime: engine_shards=1, io_batch=1), (b) the
-//      serial engine with batched event delivery, and (c) the sharded
-//      engine (per-PE shards, striped block locks, work-stealing HBM
-//      budget).  Reported per config: tasks/sec and the fraction of
-//      thread-seconds spent blocked on scheduler locks.
+//   1. How contended is the scheduler hot path?  A fine-grained
+//      MultiIo workload runs against the sharded engine (per-PE
+//      shards, striped block locks, work-stealing HBM budget),
+//      reporting tasks/sec and the fraction of thread-seconds spent
+//      blocked on scheduler locks.  perfbench/ measures the runtime's
+//      end-to-end wall clock; this bench isolates the lock counters.
 //   2. What does chunking a large migration buy?  One big block is
 //      copied tier-to-tier monolithically vs through the ChunkRing
 //      with helper threads assisting, reporting GB/s and how many
@@ -96,18 +94,14 @@ struct BenchCfg {
 /// Fine-grained MultiIo workload: every PE cycles over its own block
 /// pool with 2-dep tasks and a trivial body, so scheduler and
 /// migration bookkeeping dominate wall time.
-RunResult run_config(const std::string& name, const BenchCfg& bc,
-                     int engine_shards, int io_batch, bool legacy) {
+RunResult run_config(const std::string& name, const BenchCfg& bc) {
   rt::Runtime::Config cfg;
   cfg.strategy = ooc::Strategy::MultiIo;
   cfg.num_pes = static_cast<int>(bc.pes);
   cfg.mem_scale =
       static_cast<double>(bc.fast_kib << 10) /
       static_cast<double>(cfg.model.tier(cfg.model.fast).capacity);
-  cfg.engine_shards = engine_shards;
-  cfg.io_batch = io_batch;
   cfg.lock_stats = true;
-  cfg.legacy_idle_notify = legacy;
   cfg.evict_by_worker = bc.evict_by_worker;
   cfg.pin_threads = bc.pin;
   cfg.chunk_threshold = 0; // blocks are tiny; isolate scheduler cost
@@ -142,16 +136,7 @@ RunResult run_config(const std::string& name, const BenchCfg& bc,
         };
         batch.push_back(std::move(m));
       }
-      if (legacy) {
-        // The pre-sharding runtime had no batched send: one queue
-        // lock, one wakeup and one idle-counter lock per message.
-        for (auto& m : batch) {
-          run.send_prefetch(static_cast<int>(pe), std::move(m.deps),
-                            std::move(m.body), m.work_factor);
-        }
-      } else {
-        run.send_prefetch_batch(static_cast<int>(pe), std::move(batch));
-      }
+      run.send_prefetch_batch(static_cast<int>(pe), std::move(batch));
     }
     run.wait_idle();
   }
@@ -183,11 +168,10 @@ RunResult run_config(const std::string& name, const BenchCfg& bc,
 }
 
 /// Best tasks/sec over bc.sched_reps runs of one configuration.
-RunResult run_config_best(const std::string& name, const BenchCfg& bc,
-                          int engine_shards, int io_batch, bool legacy) {
+RunResult run_config_best(const std::string& name, const BenchCfg& bc) {
   RunResult best;
   for (std::int64_t i = 0; i < bc.sched_reps; ++i) {
-    RunResult r = run_config(name, bc, engine_shards, io_batch, legacy);
+    RunResult r = run_config(name, bc);
     if (i == 0 || r.tasks_per_sec > best.tasks_per_sec) best = r;
   }
   return best;
@@ -264,8 +248,6 @@ void run_traced(const BenchCfg& bc, const std::string& perfetto_path,
   cfg.mem_scale =
       static_cast<double>(bc.fast_kib << 10) /
       static_cast<double>(cfg.model.tier(cfg.model.fast).capacity);
-  cfg.engine_shards = 0;
-  cfg.io_batch = 16;
   cfg.lock_stats = true;
   cfg.trace = true;
   cfg.metrics = true;
@@ -335,8 +317,7 @@ void print_result(const RunResult& r) {
 }
 
 void write_json(const std::string& path, const BenchCfg& bc,
-                const std::vector<RunResult>& runs,
-                const MigrateResultRow& mig) {
+                const RunResult& r, const MigrateResultRow& mig) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -345,8 +326,7 @@ void write_json(const std::string& path, const BenchCfg& bc,
   std::fprintf(f, "{\n  \"bench\": \"rt_contention\",\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"run_threads\": %d,\n",
-               runs.empty() ? 0 : runs.back().run_threads);
+  std::fprintf(f, "  \"run_threads\": %d,\n", r.run_threads);
   std::fprintf(
       f,
       "  \"workload\": {\"pes\": %lld, \"rounds\": %lld, "
@@ -356,31 +336,21 @@ void write_json(const std::string& path, const BenchCfg& bc,
       static_cast<long long>(bc.tasks_per_round),
       static_cast<long long>(bc.blocks_per_pe),
       static_cast<unsigned long long>(bc.block_bytes));
-  std::fprintf(f, "  \"configs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"engine_shards\": %d, \"wall_s\": %.6f, "
-        "\"tasks\": %llu, \"tasks_per_sec\": %.1f, "
-        "\"lock_acquisitions\": %llu, \"lock_contended\": %llu, "
-        "\"lock_wait_s\": %.6f, \"lock_wait_fraction\": %.6f, "
-        "\"budget_steals\": %llu, \"ctx_switches\": %llu}%s\n",
-        r.name.c_str(), r.engine_shards, r.wall_s,
-        static_cast<unsigned long long>(r.tasks), r.tasks_per_sec,
-        static_cast<unsigned long long>(r.lock_acquisitions),
-        static_cast<unsigned long long>(r.lock_contended), r.lock_wait_s,
-        r.lock_wait_fraction,
-        static_cast<unsigned long long>(r.budget_steals),
-        static_cast<unsigned long long>(r.ctx_switches),
-        i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  const double speedup =
-      runs.size() >= 2 && runs.front().tasks_per_sec > 0
-          ? runs.back().tasks_per_sec / runs.front().tasks_per_sec
-          : 0;
-  std::fprintf(f, "  \"speedup_sharded_vs_global\": %.3f,\n", speedup);
+  std::fprintf(
+      f,
+      "  \"configs\": [\n"
+      "    {\"name\": \"%s\", \"engine_shards\": %d, \"wall_s\": %.6f, "
+      "\"tasks\": %llu, \"tasks_per_sec\": %.1f, "
+      "\"lock_acquisitions\": %llu, \"lock_contended\": %llu, "
+      "\"lock_wait_s\": %.6f, \"lock_wait_fraction\": %.6f, "
+      "\"budget_steals\": %llu, \"ctx_switches\": %llu}\n  ],\n",
+      r.name.c_str(), r.engine_shards, r.wall_s,
+      static_cast<unsigned long long>(r.tasks), r.tasks_per_sec,
+      static_cast<unsigned long long>(r.lock_acquisitions),
+      static_cast<unsigned long long>(r.lock_contended), r.lock_wait_s,
+      r.lock_wait_fraction,
+      static_cast<unsigned long long>(r.budget_steals),
+      static_cast<unsigned long long>(r.ctx_switches));
   std::fprintf(
       f,
       "  \"migrate\": {\"bytes\": %llu, \"mono_s\": %.6f, "
@@ -406,7 +376,7 @@ int main(int argc, char** argv) {
   std::string prom;
   hmr::ArgParser ap("rt_contention",
                     "threaded-runtime scheduler contention bench: "
-                    "global-lock vs sharded engine, monolithic vs "
+                    "sharded-engine lock counters, monolithic vs "
                     "chunked migration");
   ap.add_flag("pes", "worker threads (0 = one per hardware thread)",
               &bc.pes);
@@ -449,29 +419,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(bc.tasks_per_round),
               static_cast<unsigned long long>(bc.block_bytes >> 10));
 
-  std::vector<RunResult> runs;
-  // (a) the pre-sharding hot path: one engine, one mutex, one event
-  // per lock acquisition, per-message sends, and the legacy idle
-  // protocol (global idle lock + notify_all on every retirement).
-  runs.push_back(run_config_best("global", bc, /*engine_shards=*/1,
-                                 /*io_batch=*/1, /*legacy=*/true));
-  print_result(runs.back());
-  // (b) same global engine, but batched sends + step_batch delivery
-  // and zero-transition idle wakeups.
-  runs.push_back(run_config_best("global+batch", bc,
-                                 /*engine_shards=*/1,
-                                 /*io_batch=*/16, /*legacy=*/false));
-  print_result(runs.back());
-  // (c) the sharded engine (per-PE shards + striped blocks + budget).
-  runs.push_back(run_config_best("sharded", bc, /*engine_shards=*/0,
-                                 /*io_batch=*/16, /*legacy=*/false));
-  print_result(runs.back());
-
-  const double speedup = runs.front().tasks_per_sec > 0
-                             ? runs.back().tasks_per_sec /
-                                   runs.front().tasks_per_sec
-                             : 0;
-  std::printf("\nsharded vs global-lock: %.2fx tasks/sec\n\n", speedup);
+  const RunResult sharded = run_config_best("sharded", bc);
+  print_result(sharded);
+  std::printf("\n");
 
   const MigrateResultRow mig =
       run_migrate(static_cast<std::uint64_t>(migrate_mib) << 20,
@@ -483,7 +433,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(mig.chunks),
       static_cast<unsigned long long>(mig.assisted_chunks));
 
-  if (json) write_json("BENCH_rt_contention.json", bc, runs, mig);
+  if (json) write_json("BENCH_rt_contention.json", bc, sharded, mig);
   if (!perfetto.empty() || !prom.empty()) run_traced(bc, perfetto, prom);
   return 0;
 }

@@ -1,15 +1,18 @@
 #pragma once
 // Engine: the common interface of the prefetch/evict protocol
-// implementations (the ROADMAP's "unify PolicyEngine and ShardedEngine"
-// item).
+// implementations, and the one interception point every [prefetch]
+// event goes through (paper §IV-B).
 //
-// Two engines implement the paper's protocol today: the serial
+// Two engines implement the paper's protocol: the serial
 // ooc::PolicyEngine (every strategy, advice, lazy eviction, watermark
 // trims; callers serialize) and the concurrent rt::ShardedEngine
-// (MultiIo + eager only; thread-safe).  They already agreed on the
-// event vocabulary — this interface pins that agreement down so code
-// that only *drives* an engine (executors, the multi-tenant serving
-// decorator in src/serve) is written once and works against either.
+// (MultiIo + eager only; thread-safe).  serve::TenantEngine decorates
+// either.  Code that only *drives* an engine is written once against
+// this interface: rt::Runtime holds one Engine* (decorator, else
+// sharded, else serial) and sends every block registration, event,
+// quiescence check, stats read and audit through it; hmr::sim does
+// the same over the serial engine.  The serial and sharded paths
+// differ only in locking.
 //
 // The interface is deliberately the intersection, not the union:
 //   * on_task_complete carries the PE the task ran on.  The sharded

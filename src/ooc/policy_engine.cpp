@@ -84,61 +84,6 @@ std::vector<TierDesc> tiers_from_model(const hw::MachineModel& m) {
   return out;
 }
 
-PolicyEngine::Event PolicyEngine::Event::arrived(TaskDesc t) {
-  Event e;
-  e.kind = Kind::TaskArrived;
-  e.task = std::move(t);
-  return e;
-}
-
-PolicyEngine::Event PolicyEngine::Event::fetched(BlockId b) {
-  Event e;
-  e.kind = Kind::FetchComplete;
-  e.block = b;
-  return e;
-}
-
-PolicyEngine::Event PolicyEngine::Event::evicted(BlockId b) {
-  Event e;
-  e.kind = Kind::EvictComplete;
-  e.block = b;
-  return e;
-}
-
-PolicyEngine::Event PolicyEngine::Event::completed(TaskId t) {
-  Event e;
-  e.kind = Kind::TaskComplete;
-  e.task_id = t;
-  return e;
-}
-
-std::vector<Command> PolicyEngine::step_batch(std::vector<Event> events) {
-  std::vector<Command> cmds;
-  for (Event& e : events) {
-    std::vector<Command> step;
-    switch (e.kind) {
-      case Event::Kind::TaskArrived:
-        step = on_task_arrived(e.task);
-        break;
-      case Event::Kind::FetchComplete:
-        step = on_fetch_complete(e.block);
-        break;
-      case Event::Kind::EvictComplete:
-        step = on_evict_complete(e.block);
-        break;
-      case Event::Kind::TaskComplete:
-        step = on_task_complete(e.task_id);
-        break;
-    }
-    if (cmds.empty()) {
-      cmds = std::move(step);
-    } else {
-      cmds.insert(cmds.end(), step.begin(), step.end());
-    }
-  }
-  return cmds;
-}
-
 PolicyEngine::PolicyEngine(Config cfg)
     : cfg_(std::move(cfg)), base_evict_by_worker_(cfg_.evict_by_worker) {
   HMR_CHECK(cfg_.num_pes > 0);

@@ -108,28 +108,6 @@ public:
   /// Historical name for the shared counter struct (ooc/types.hpp).
   using Stats = EngineStats;
 
-  /// One engine event, reified so executors can hand the engine a
-  /// whole batch under a single lock acquisition (the threaded
-  /// runtime's IO/PE loops drain queues in batches; the DES keeps
-  /// calling the per-event entry points).
-  struct Event {
-    enum class Kind : std::uint8_t {
-      TaskArrived,
-      FetchComplete,
-      EvictComplete,
-      TaskComplete,
-    };
-    Kind kind = Kind::TaskArrived;
-    TaskDesc task;                      // TaskArrived
-    BlockId block = mem::kInvalidBlock; // Fetch/EvictComplete
-    TaskId task_id = kInvalidTask;      // TaskComplete
-
-    static Event arrived(TaskDesc t);
-    static Event fetched(BlockId b);
-    static Event evicted(BlockId b);
-    static Event completed(TaskId t);
-  };
-
   explicit PolicyEngine(Config cfg);
 
   const Config& config() const { return cfg_; }
@@ -152,13 +130,6 @@ public:
   /// back to the plain overload.
   TierId add_block(BlockId b, std::uint64_t bytes,
                    std::int32_t home_level);
-
-  /// Deprecated: collapse a tier id returned by add_block onto the old
-  /// two-tier vocabulary (Fast == the hierarchy's top level).  Kept
-  /// one release for downstream callers.
-  Placement placement_of(TierId t) const {
-    return t == tiers_.front().id ? Placement::Fast : Placement::Slow;
-  }
 
   /// Forget a block.  Must be unreferenced and not in flight.
   void remove_block(BlockId b) override;
@@ -184,12 +155,6 @@ public:
   std::vector<Command> on_task_complete(TaskId t, std::int32_t) override {
     return on_task_complete(t);
   }
-
-  /// Process a batch of events in order, concatenating the resulting
-  /// commands.  Exactly equivalent to calling the per-event entry
-  /// points one by one; exists so a threaded executor can amortize one
-  /// engine-lock acquisition over the whole batch.
-  std::vector<Command> step_batch(std::vector<Event> events);
 
   // ---- online reconfiguration (adaptive governor) ----
   //

@@ -84,11 +84,6 @@ const char* strategy_name(Strategy s);
 bool strategy_moves_data(Strategy s);
 
 /// Where a block's storage should be placed at registration time.
-/// Deprecated two-tier vocabulary, kept one release for downstream
-/// callers: new code uses the TierId returned by
-/// PolicyEngine::add_block (Fast == the hierarchy's top level).
-enum class Placement : std::uint8_t { Fast, Slow };
-
 /// How a hierarchy level's bytes are physically realized.  The engine
 /// treats every backend identically for placement (capacity, cascade,
 /// watermark); the distinction is what a migration touching the level

@@ -55,9 +55,12 @@ ooc::PolicyEngine::Config engine_config(const Runtime::Config& cfg,
 /// path; everything global (SingleIo round-robin, SyncNoIo, the lazy
 /// LRU, the adaptive advisor) stays on the serial engine.
 bool sharded_eligible(const Runtime::Config& cfg) {
-  return cfg.engine_shards != 1 &&
-         cfg.strategy == ooc::Strategy::MultiIo && cfg.eager_evict &&
+  return cfg.strategy == ooc::Strategy::MultiIo && cfg.eager_evict &&
          !cfg.adaptive;
+}
+
+void append(std::vector<ooc::Command>& out, std::vector<ooc::Command> cmds) {
+  out.insert(out.end(), cmds.begin(), cmds.end());
 }
 
 int io_thread_count(const Runtime::Config& cfg) {
@@ -106,7 +109,6 @@ Runtime::Runtime(Config cfg)
     : cfg_(std::move(cfg)),
       mm_(std::make_unique<mem::MemoryManager>(tier_specs(cfg_),
                                                cfg_.memory_pool)),
-      engine_(engine_config(cfg_, *mm_)),
       pending_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tasks_done_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tracer_(cfg_.trace, cfg_.trace_opts),
@@ -147,25 +149,25 @@ Runtime::Runtime(Config cfg)
   // blocks move back and forth as pointer swaps (docs/PERF.md §4).
   mm_->set_zero_copy(true);
   mm_->set_shadow_audit(telemetry::audit_enabled(cfg_.audit));
-  if (sharded_eligible(cfg_)) {
+  const bool sharded = sharded_eligible(cfg_);
+  if (cfg_.lock_stats) {
+    // One slot per engine shard; the serial engine's mutex is slot 0.
+    lock_stats_ = std::make_unique<trace::ContentionStats>(
+        static_cast<std::size_t>(sharded ? cfg_.num_pes : 1));
+  }
+  if (sharded) {
     ShardedEngine::Config sc;
     sc.num_pes = cfg_.num_pes;
-    sc.num_shards = std::max(0, cfg_.engine_shards);
     sc.tiers = resolve_tiers(cfg_, *mm_);
     sc.fast_capacity = sc.tiers.front().capacity;
     sc.writeonly_nocopy = cfg_.writeonly_nocopy;
     sc.evict_by_worker = cfg_.evict_by_worker;
     sc.demote_cascade = cfg_.demote_cascade;
-    if (cfg_.lock_stats) {
-      const auto n = sc.num_shards > 0
-                         ? std::min(sc.num_shards, sc.num_pes)
-                         : sc.num_pes;
-      lock_stats_ = std::make_unique<trace::ContentionStats>(
-          static_cast<std::size_t>(n));
-    }
     sharded_ = std::make_unique<ShardedEngine>(sc, lock_stats_.get());
-  } else if (cfg_.lock_stats) {
-    lock_stats_ = std::make_unique<trace::ContentionStats>(1);
+    engine_ = sharded_.get();
+  } else {
+    serial_ = std::make_unique<ooc::PolicyEngine>(engine_config(cfg_, *mm_));
+    engine_ = serial_.get();
   }
   if (cfg_.adaptive) {
     HMR_CHECK_MSG(ooc::strategy_moves_data(cfg_.strategy),
@@ -180,7 +182,7 @@ Runtime::Runtime(Config cfg)
     gc.channel_bytes_per_second =
         cfg_.model.channel_capacity(cfg_.model.slow, cfg_.model.fast);
     governor_ = std::make_unique<adapt::StrategyGovernor>(gc);
-    engine_.set_advisor(advisor_.get()); // before any thread starts
+    serial_->set_advisor(advisor_.get()); // before any thread starts
     if (cfg_.decision_log_depth > 0) {
       decisions_ =
           std::make_unique<telemetry::DecisionLog>(cfg_.decision_log_depth);
@@ -193,16 +195,14 @@ Runtime::Runtime(Config cfg)
     HMR_CHECK_MSG(!cfg_.adaptive,
                   "multi-tenant serving and adaptive guidance both claim "
                   "the engine's advisor slot; enable one");
-    ooc::Engine& inner = sharded_ ? static_cast<ooc::Engine&>(*sharded_)
-                                  : static_cast<ooc::Engine&>(engine_);
     tenancy_ =
-        std::make_unique<serve::TenantEngine>(inner, cfg_.serve, now());
+        std::make_unique<serve::TenantEngine>(*engine_, cfg_.serve, now());
     tenancy_->set_clock([this] { return now(); });
-    if (!sharded_) {
-      // Quota-aware victim selection; the sharded engine takes no
-      // advisor, its tenancy lever is priority dispatch alone.
-      if (auto* adv = tenancy_->advisor()) engine_.set_advisor(adv);
-    }
+    // Quota-aware victim selection; the sharded engine takes no
+    // advisor, its tenancy lever is priority dispatch alone.
+    auto* adv = tenancy_->advisor();
+    if (serial_ && adv) serial_->set_advisor(adv);
+    engine_ = tenancy_.get();
   }
   pes_.reserve(static_cast<std::size_t>(cfg_.num_pes));
   for (int pe = 0; pe < cfg_.num_pes; ++pe) {
@@ -265,17 +265,9 @@ mem::BlockId Runtime::alloc_block(std::uint64_t bytes) {
   std::lock_guard alk(alloc_mu_);
   const mem::BlockId expected = blocks_created_++;
   hw::TierId tier;
-  if (tenancy_) {
-    // Serial inner engine still wants engine_mu_ held around every
-    // visit (lock order: engine_mu_ -> TenantEngine's mutex).
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) elk = std::unique_lock(engine_mu_);
-    tier = tenancy_->add_block(expected, bytes);
-  } else if (sharded_) {
-    tier = sharded_->add_block(expected, bytes);
-  } else {
-    std::lock_guard elk(engine_mu_);
-    tier = engine_.add_block(expected, bytes);
+  {
+    auto elk = lock_engine();
+    tier = engine_->add_block(expected, bytes);
   }
   const mem::BlockId b = mm_->register_block(bytes, tier);
   HMR_CHECK_MSG(b != mem::kInvalidBlock,
@@ -287,16 +279,8 @@ mem::BlockId Runtime::alloc_block(std::uint64_t bytes) {
 void Runtime::free_block(mem::BlockId b) {
   {
     std::lock_guard alk(alloc_mu_);
-    if (tenancy_) {
-      std::unique_lock<std::mutex> elk;
-      if (!sharded_) elk = std::unique_lock(engine_mu_);
-      tenancy_->remove_block(b);
-    } else if (sharded_) {
-      sharded_->remove_block(b);
-    } else {
-      std::lock_guard elk(engine_mu_);
-      engine_.remove_block(b);
-    }
+    auto elk = lock_engine();
+    engine_->remove_block(b);
   }
   mm_->unregister_block(b);
 }
@@ -382,8 +366,8 @@ void Runtime::pe_loop(int pe) {
       });
       // Ready tasks (data resident) run before new messages are
       // intercepted, keeping the PE's pipeline full.  Draining a
-      // batch amortizes the queue lock and, on the serial-engine
-      // path, the engine lock over the whole batch.
+      // batch amortizes the queue lock and, on the serial engine, the
+      // engine lock over the whole batch.
       while (!w.run_q.empty() && tasks.size() < depth) {
         tasks.push_back(std::move(w.run_q.front()));
         w.run_q.pop_front();
@@ -450,7 +434,7 @@ void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
   arrivals.reserve(msgs.size());
   auto flush = [&] {
     if (arrivals.empty()) return;
-    process(ev_arrivals(std::move(arrivals)), pe);
+    process(ev_arrivals(arrivals), pe);
     arrivals.clear();
   };
   for (auto& msg : msgs) {
@@ -533,88 +517,34 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
   note_done(tasks.size());
 }
 
-std::vector<ooc::Command> Runtime::ev_arrivals(
-    std::vector<ooc::TaskDesc> descs) {
-  if (tenancy_) {
-    // Per-event visits through the decorator (admission may defer or
-    // reorder, so batching buys nothing).  Serial inner engine keeps
-    // engine_mu_ as the outer lock; the adaptive profiler is excluded
-    // by construction.
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    std::vector<ooc::Command> cmds;
-    for (auto& d : descs) {
-      auto c = tenancy_->on_task_arrived(d);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  if (sharded_) {
-    std::vector<ooc::Command> cmds;
-    for (auto& d : descs) {
-      auto c = sharded_->on_task_arrived(d);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(descs.size());
-  for (auto& d : descs) {
-    evs.push_back(ooc::PolicyEngine::Event::arrived(std::move(d)));
-  }
-  std::vector<ooc::Command> cmds;
+std::unique_lock<std::mutex> Runtime::lock_engine() {
+  if (!serial_) return {};
   trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-  std::lock_guard elk(engine_mu_, std::adopt_lock);
+  return std::unique_lock(engine_mu_, std::adopt_lock);
+}
+
+std::vector<ooc::Command> Runtime::ev_arrivals(
+    const std::vector<ooc::TaskDesc>& descs) {
+  std::vector<ooc::Command> cmds;
+  auto elk = lock_engine();
   if (profiler_) {
-    for (const auto& e : evs) {
+    for (const auto& d : descs) {
       profiler_->on_task_arrived(
-          e.task, [this](mem::BlockId b) { return mm_->block_bytes(b); });
+          d, [this](mem::BlockId b) { return mm_->block_bytes(b); });
     }
   }
-  cmds = engine_.step_batch(std::move(evs));
+  for (const auto& d : descs) append(cmds, engine_->on_task_arrived(d));
   observe_locked(cmds);
   return cmds;
 }
 
 std::vector<ooc::Command> Runtime::ev_completions(
     const std::vector<ReadyTask>& tasks, int pe) {
-  if (tenancy_) {
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    std::vector<ooc::Command> cmds;
-    for (const auto& t : tasks) {
-      auto c = tenancy_->on_task_complete(t.id, pe);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  if (sharded_) {
-    std::vector<ooc::Command> cmds;
-    for (const auto& t : tasks) {
-      auto c = sharded_->on_task_complete(t.id, pe);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(tasks.size());
-  for (const auto& t : tasks) {
-    evs.push_back(ooc::PolicyEngine::Event::completed(t.id));
-  }
   std::vector<ooc::Command> cmds;
-  trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-  std::lock_guard elk(engine_mu_, std::adopt_lock);
-  cmds = engine_.step_batch(std::move(evs));
+  auto elk = lock_engine();
+  for (const auto& t : tasks) {
+    append(cmds, engine_->on_task_complete(t.id, pe));
+  }
   observe_locked(cmds);
   return cmds;
 }
@@ -682,36 +612,15 @@ void Runtime::record_migration(const ooc::Command& cmd, bool copied,
 
 std::vector<ooc::Command> Runtime::ev_transfers(
     const std::vector<ooc::Command>& done) {
-  if (tenancy_ || sharded_) {
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    ooc::Engine& e = tenancy_ ? static_cast<ooc::Engine&>(*tenancy_)
-                              : static_cast<ooc::Engine&>(*sharded_);
-    std::vector<ooc::Command> out;
-    for (const auto& cmd : done) {
-      auto c = cmd.kind == ooc::Command::Kind::Fetch
-                   ? e.on_fetch_complete(cmd.block)
-                   : e.on_evict_complete(cmd.block);
-      out.insert(out.end(), std::make_move_iterator(c.begin()),
-                 std::make_move_iterator(c.end()));
-    }
-    return out;
+  std::vector<ooc::Command> cmds;
+  auto elk = lock_engine();
+  for (const auto& c : done) {
+    append(cmds, c.kind == ooc::Command::Kind::Fetch
+                     ? engine_->on_fetch_complete(c.block)
+                     : engine_->on_evict_complete(c.block));
   }
-  std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(done.size());
-  for (const auto& cmd : done) {
-    evs.push_back(cmd.kind == ooc::Command::Kind::Fetch
-                      ? ooc::PolicyEngine::Event::fetched(cmd.block)
-                      : ooc::PolicyEngine::Event::evicted(cmd.block));
-  }
-  trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-  std::lock_guard elk(engine_mu_, std::adopt_lock);
-  std::vector<ooc::Command> out = engine_.step_batch(std::move(evs));
-  observe_locked(out);
-  return out;
+  observe_locked(cmds);
+  return cmds;
 }
 
 void Runtime::perform_transfers(const std::vector<ooc::Command>& cmds,
@@ -771,28 +680,8 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
           IoWorker& w =
               *io_[static_cast<std::size_t>(c.agent) % io_.size()];
           std::lock_guard lk(w.mu);
-          if (tenancy_ && tenancy_->priority_dispatch()) {
-            // QoS preemption of not-yet-started transfers: slot ahead
-            // of every queued command with a worse dispatch rank.
-            const int rank = tenancy_->dispatch_rank(c);
-            auto pos = w.cmds.end();
-            for (auto it = w.cmds.begin(); it != w.cmds.end(); ++it) {
-              if (tenancy_->dispatch_rank(*it) > rank) {
-                pos = it;
-                break;
-              }
-            }
-            if (pos != w.cmds.end() &&
-                c.kind == ooc::Command::Kind::Fetch) {
-              const auto winner = tenancy_->command_tenant(c);
-              for (auto it = pos; it != w.cmds.end(); ++it) {
-                if (it->kind == ooc::Command::Kind::Fetch) {
-                  tenancy_->note_displacement(
-                      winner, tenancy_->command_tenant(*it));
-                }
-              }
-            }
-            w.cmds.insert(pos, c);
+          if (tenancy_) {
+            tenancy_->enqueue(w.cmds, c);
           } else {
             w.cmds.push_back(c);
           }
@@ -816,18 +705,18 @@ void Runtime::observe_locked(const std::vector<ooc::Command>& cmds) {
       profiler_->on_fetch(c.block, mm_->block_bytes(c.block));
     }
   }
-  peak_inflight_ = std::max(peak_inflight_, engine_.inflight_fetches());
-  if (engine_.total_waiting() > 0) phase_contended_ = true;
+  peak_inflight_ = std::max(peak_inflight_, serial_->inflight_fetches());
+  if (serial_->total_waiting() > 0) phase_contended_ = true;
 }
 
 void Runtime::governor_phase_end() {
   const double t_now = now();
   std::vector<ooc::Command> cmds;
   {
-    std::lock_guard elk(engine_mu_);
+    auto elk = lock_engine();
     adapt::PhaseObservation obs;
     obs.phase_seconds = t_now - phase_start_;
-    const ooc::PolicyEngine::Stats& st = engine_.stats();
+    const ooc::PolicyEngine::Stats& st = serial_->stats();
     obs.tasks = st.tasks_run - phase_base_.tasks_run;
     obs.fetches = st.fetches - phase_base_.fetches;
     obs.fetch_bytes = st.fetch_bytes - phase_base_.fetch_bytes;
@@ -851,12 +740,10 @@ void Runtime::governor_phase_end() {
 
     const adapt::Decision d = governor_->on_phase_end(obs);
     advisor_->set_streaming_bypass(d.bypass_streaming);
-    engine_.set_fair_admission(d.fair_admission);
-    engine_.set_strategy(d.strategy);
-    auto flush = engine_.set_eager_evict(d.eager_evict);
-    cmds.insert(cmds.end(), flush.begin(), flush.end());
-    auto trim = engine_.set_lru_watermark(d.lru_watermark);
-    cmds.insert(cmds.end(), trim.begin(), trim.end());
+    serial_->set_fair_admission(d.fair_admission);
+    serial_->set_strategy(d.strategy);
+    append(cmds, serial_->set_eager_evict(d.eager_evict));
+    append(cmds, serial_->set_lru_watermark(d.lru_watermark));
   }
   phase_start_ = t_now;
   if (cmds.empty()) return;
@@ -874,29 +761,12 @@ void Runtime::governor_phase_end() {
 }
 
 void Runtime::msgs_add(std::uint64_t n) {
-  if (cfg_.legacy_idle_notify) {
-    // Pre-sharding protocol: the counter was a plain int guarded by
-    // the global idle lock, so every send serialized on it.
-    std::lock_guard lk(idle_mu_);
-    outstanding_msgs_.fetch_add(n, std::memory_order_acq_rel);
-    return;
-  }
   outstanding_msgs_.fetch_add(n, std::memory_order_acq_rel);
 }
 
 void Runtime::note_done(std::uint64_t n) {
   if (n == 0) return;
   retired_.fetch_add(n, std::memory_order_relaxed);
-  if (cfg_.legacy_idle_notify) {
-    // Pre-sharding protocol: lock + notify_all on every retirement,
-    // waking the idle waiter (usually the main thread) each time.
-    {
-      std::lock_guard lk(idle_mu_);
-      outstanding_msgs_.fetch_sub(n, std::memory_order_acq_rel);
-    }
-    idle_cv_.notify_all();
-    return;
-  }
   // Wake idle waiters only on the transition to zero: the hot path
   // never touches idle_mu_.  Taking the mutex before notifying closes
   // the race with a waiter that just evaluated its predicate.
@@ -912,14 +782,6 @@ void Runtime::ops_add(std::uint64_t n) {
 
 void Runtime::ops_sub(std::uint64_t n) {
   retired_.fetch_add(n, std::memory_order_relaxed);
-  if (cfg_.legacy_idle_notify) {
-    {
-      std::lock_guard lk(idle_mu_);
-      outstanding_ops_.fetch_sub(n, std::memory_order_acq_rel);
-    }
-    idle_cv_.notify_all();
-    return;
-  }
   if (outstanding_ops_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     std::lock_guard lk(idle_mu_);
     idle_cv_.notify_all();
@@ -927,16 +789,21 @@ void Runtime::ops_sub(std::uint64_t n) {
 }
 
 bool Runtime::engine_quiescent() {
-  if (tenancy_) {
-    // Deferred submissions parked in the decorator count as pending
-    // work; its quiescent() folds them in with the inner engine's.
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) elk = std::unique_lock(engine_mu_);
-    return tenancy_->quiescent();
+  // Under tenancy, deferred submissions parked in the decorator count
+  // as pending work; its quiescent() folds them in.
+  auto elk = lock_engine();
+  return engine_->quiescent();
+}
+
+std::vector<Runtime::LevelUse> Runtime::level_usage() {
+  auto elk = lock_engine();
+  const auto& tiers = engine_->tiers();
+  std::vector<LevelUse> out(tiers.size());
+  for (std::size_t k = 0; k < tiers.size(); ++k) {
+    out[k].used = engine_->tier_used(static_cast<std::int32_t>(k));
+    out[k].capacity = tiers[k].capacity;
   }
-  if (sharded_) return sharded_->quiescent();
-  std::lock_guard elk(engine_mu_);
-  return engine_.quiescent();
+  return out;
 }
 
 void Runtime::poke_io_for_assist() {
@@ -994,39 +861,24 @@ void Runtime::sample_metrics() {
       ->counter("hmr_trace_events_dropped_total", "",
                 "Trace intervals lost to ring overflow")
       .set(tracer_.dropped());
-  const auto tier_gauges = [&](std::int32_t level, std::uint64_t used,
-                               std::uint64_t cap) {
+  const std::vector<LevelUse> levels = level_usage();
+  for (std::size_t k = 0; k < levels.size(); ++k) {
     const std::string labels =
-        telemetry::prom_label("level", std::to_string(level));
+        telemetry::prom_label("level", std::to_string(k));
     metrics_
         ->gauge("hmr_tier_used_bytes", labels,
                 "Bytes claimed on the hierarchy level")
-        .set(static_cast<double>(used));
+        .set(static_cast<double>(levels[k].used));
     metrics_
         ->gauge("hmr_tier_capacity_bytes", labels,
                 "Level budget (0 = unbounded bottom)")
-        .set(static_cast<double>(cap));
-  };
-  if (sharded_) {
-    const auto& tiers = sharded_->tiers();
-    for (std::int32_t k = 0; k < sharded_->num_levels(); ++k) {
-      tier_gauges(k, sharded_->tier_used(k),
-                  tiers[static_cast<std::size_t>(k)].capacity);
-    }
-  } else {
-    std::lock_guard elk(engine_mu_);
-    const auto& tiers = engine_.tiers();
-    for (std::int32_t k = 0; k < engine_.num_levels(); ++k) {
-      tier_gauges(k, engine_.tier_used(k),
-                  tiers[static_cast<std::size_t>(k)].capacity);
-    }
+        .set(static_cast<double>(levels[k].capacity));
   }
 }
 
 ooc::PolicyEngine::Stats Runtime::policy_stats() {
-  if (sharded_) return sharded_->stats();
-  std::lock_guard elk(engine_mu_);
-  return engine_.stats();
+  auto elk = lock_engine();
+  return engine_->engine_stats();
 }
 
 std::uint64_t Runtime::tasks_executed() const {
@@ -1064,29 +916,15 @@ double Runtime::fetch_p99_seconds() const {
 telemetry::AuditReport Runtime::audit_now() {
   telemetry::AuditReport r;
   r.time = now();
-  if (tenancy_) {
-    // Tenancy audit = inner audit + quota-ledger conservation +
-    // admitted/completed bookkeeping, under the same quiescence rules
-    // as the wrapped engine.
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) elk = std::unique_lock(engine_mu_);
-    if (sharded_ && !tenancy_->quiescent()) return r;
-    r.at_quiescence = tenancy_->quiescent();
-    r.violations = tenancy_->audit_invariants(r.at_quiescence);
-    return r;
-  }
-  if (sharded_) {
-    // The sharded ledgers only reconcile exactly at quiescence
-    // (budget releases commit outside the stripe critical sections),
-    // so off-quiescence calls report nothing rather than guess.
-    if (!sharded_->quiescent()) return r;
-    r.at_quiescence = true;
-    r.violations = sharded_->audit_invariants(true);
-  } else {
-    std::lock_guard elk(engine_mu_);
-    r.at_quiescence = engine_.quiescent();
-    r.violations = engine_.audit_invariants(r.at_quiescence);
-  }
+  auto elk = lock_engine();
+  r.at_quiescence = engine_->quiescent();
+  // The sharded ledgers only reconcile exactly at quiescence (budget
+  // releases commit outside the stripe critical sections), so
+  // off-quiescence calls report nothing rather than guess.  Under
+  // tenancy the audit adds quota-ledger conservation and
+  // admitted/completed bookkeeping to the inner engine's.
+  if (!r.at_quiescence && !serial_) return r;
+  r.violations = engine_->audit_invariants(r.at_quiescence);
   return r;
 }
 
@@ -1162,25 +1000,11 @@ std::string Runtime::status_json() {
     os << "}";
   }
   os << "],\"tiers\":[";
-  const auto tier_json = [&](std::int32_t level, std::uint64_t used,
-                             std::uint64_t cap) {
-    if (level) os << ",";
-    os << "{\"level\":" << level << ",\"used_bytes\":" << used
-       << ",\"capacity_bytes\":" << cap << "}";
-  };
-  if (sharded_) {
-    const auto& tiers = sharded_->tiers();
-    for (std::int32_t k = 0; k < sharded_->num_levels(); ++k) {
-      tier_json(k, sharded_->tier_used(k),
-                tiers[static_cast<std::size_t>(k)].capacity);
-    }
-  } else {
-    std::lock_guard elk(engine_mu_);
-    const auto& tiers = engine_.tiers();
-    for (std::int32_t k = 0; k < engine_.num_levels(); ++k) {
-      tier_json(k, engine_.tier_used(k),
-                tiers[static_cast<std::size_t>(k)].capacity);
-    }
+  const std::vector<LevelUse> levels = level_usage();
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    if (k) os << ",";
+    os << "{\"level\":" << k << ",\"used_bytes\":" << levels[k].used
+       << ",\"capacity_bytes\":" << levels[k].capacity << "}";
   }
   os << "]";
 
@@ -1188,7 +1012,7 @@ std::string Runtime::status_json() {
   // hmr_top dashboard's hot-block panel.
   os << ",\"hot_blocks\":[";
   if (profiler_) {
-    std::lock_guard elk(engine_mu_);
+    auto elk = lock_engine();
     std::vector<adapt::BlockProfile> profs = profiler_->profiles();
     std::sort(profs.begin(), profs.end(),
               [](const adapt::BlockProfile& a, const adapt::BlockProfile& b) {
@@ -1214,7 +1038,7 @@ std::string Runtime::status_json() {
   os << ",\"governor\":";
   if (governor_) {
     // The governor only mutates under engine_mu_ (phase boundaries).
-    std::lock_guard elk(engine_mu_);
+    auto elk = lock_engine();
     const adapt::Decision& d = governor_->current();
     os << "{\"strategy\":\"" << ooc::strategy_name(d.strategy) << "\""
        << ",\"eager_evict\":" << (d.eager_evict ? "true" : "false")

@@ -19,14 +19,15 @@
 //     clean shadow copy is a pointer swap and completes inline on
 //     whichever thread receives the command (docs/PERF.md §4).
 //
-// Scheduling hot path: the default MultiIo + eager-eviction
-// configuration drives a ShardedEngine — per-PE-group engine shards,
-// striped block locks and a work-stealing HBM budget — so admission
-// and completion on different PEs never serialize.  Every other
-// configuration (SingleIo, SyncNoIo, lazy eviction, adaptive) drives
-// the serial ooc::PolicyEngine under one mutex, amortized by handing
-// it whole event batches (PolicyEngine::step_batch).  Both paths share
-// the same policy semantics; hmr::sim always uses the serial engine.
+// Scheduling: every engine visit goes through one ooc::Engine.  The
+// default MultiIo + eager-eviction configuration drives a ShardedEngine
+// — one engine shard per PE, striped block locks and a work-stealing
+// HBM budget — so admission and completion on different PEs never
+// serialize.  Every other configuration (SingleIo, SyncNoIo, lazy
+// eviction, adaptive) drives the serial ooc::PolicyEngine under one
+// mutex, held across each batch of events a PE or IO thread drains.
+// Registered tenants wrap either engine in a serve::TenantEngine.  The
+// paths differ only in locking; hmr::sim always uses the serial engine.
 
 #include <atomic>
 #include <condition_variable>
@@ -78,7 +79,7 @@ public:
     bool memory_pool = false;
     /// Record per-PE execution intervals.
     bool trace = false;
-    /// Tracer knobs (ring capacity, deprecated serial fallback).
+    /// Tracer knobs (ring capacity, serial fallback).
     trace::Tracer::Options trace_opts;
     /// Maintain a MetricsRegistry: latency/wait/queue-depth histograms
     /// updated inline, engine/lock/chunk counters mirrored at each
@@ -116,15 +117,10 @@ public:
     adapt::ProfilerConfig profiler_cfg;
     adapt::GovernorConfig governor_cfg;
 
-    /// Engine sharding for the MultiIo + eager-eviction hot path:
-    /// 0 = one shard per PE (default), 1 = the serial global-lock
-    /// engine (the de-serialization baseline), N = N shards.  Other
-    /// strategies, lazy eviction and adaptive runs always use the
-    /// serial engine (their policies are inherently global).
-    int engine_shards = 0;
-    /// Max engine events a PE/IO thread hands the engine per lock
-    /// acquisition (serial-engine path) and the per-wakeup drain depth
-    /// of the worker loops.
+    /// Per-wakeup drain depth of the PE and IO loops: at most this
+    /// many ready tasks, messages or migrations per wakeup.  On the
+    /// serial engine, one engine-lock acquisition covers the batch's
+    /// events.
     int io_batch = 16;
     /// Chunked cooperative migration: block copies of at least
     /// `chunk_threshold` bytes stream through the MemoryManager's
@@ -139,12 +135,6 @@ public:
     /// Collect scheduler lock-contention counters (bench/rt_contention
     /// reads them via lock_stats()).
     bool lock_stats = false;
-    /// Reproduce the pre-sharding quiescence protocol: every message
-    /// send and every message/op retirement takes the global idle lock
-    /// and wakes all idle waiters, instead of notifying only on the
-    /// counter's zero transition.  Exists solely so bench/rt_contention
-    /// can measure the old runtime's bookkeeping cost; leave off.
-    bool legacy_idle_notify = false;
 
     /// Placement hierarchy override, fastest level first (same contract
     /// as ooc::PolicyEngine::Config::tiers, with capacities in
@@ -429,24 +419,37 @@ private:
   /// holds the block's shadow complete right here as swaps; only real
   /// copies go to the IO threads.
   void process(std::vector<ooc::Command> cmds, int context_lane);
-  /// Batch of arrival events against the active engine.
-  std::vector<ooc::Command> ev_arrivals(std::vector<ooc::TaskDesc> descs);
+  /// Hold the engine lock for a visit to engine_: engine_mu_ (counted
+  /// in lock_stats slot 0) when the innermost engine is serial_, no
+  /// lock otherwise (the sharded engine is thread-safe).
+  std::unique_lock<std::mutex> lock_engine();
+  /// Batch of arrival events, one engine visit each under one lock.
+  std::vector<ooc::Command> ev_arrivals(
+      const std::vector<ooc::TaskDesc>& descs);
   /// Batch of completion events for tasks that ran on `pe`.
   std::vector<ooc::Command> ev_completions(
       const std::vector<ReadyTask>& tasks, int pe);
   /// Batch of fetch/evict completion events for finished migrations.
   std::vector<ooc::Command> ev_transfers(
       const std::vector<ooc::Command>& done);
-  /// `outstanding_msgs_` -= n, waking idle waiters on the final one.
   void msgs_add(std::uint64_t n);
+  /// `outstanding_msgs_` -= n, waking idle waiters on the final one.
   void note_done(std::uint64_t n);
   void ops_add(std::uint64_t n);
+  /// `outstanding_ops_` -= n, waking idle waiters on the final one.
   void ops_sub(std::uint64_t n);
   bool engine_quiescent();
+  /// Claimed bytes and budget of each hierarchy level, fastest first.
+  struct LevelUse {
+    std::uint64_t used = 0;
+    std::uint64_t capacity = 0;
+  };
+  std::vector<LevelUse> level_usage();
   /// Wake every IO thread so idle ones can assist a chunked copy.
   void poke_io_for_assist();
-  /// Called with engine_mu_ held after an engine event: feed the
-  /// profiler the fetches just issued and sample governor signals.
+  /// Called under lock_engine() after an engine event (adaptive runs,
+  /// serial engine only): feed the profiler the fetches just issued
+  /// and sample governor signals.
   void observe_locked(const std::vector<ooc::Command>& cmds);
   /// One governor step; called from wait_idle at quiescence.
   void governor_phase_end();
@@ -468,18 +471,21 @@ private:
   Config cfg_;
   std::unique_ptr<mem::MemoryManager> mm_;
 
-  /// Serial-engine path (every configuration the ShardedEngine does
-  /// not cover); all access under engine_mu_.
-  std::mutex engine_mu_;
-  ooc::PolicyEngine engine_;
+  /// The one engine every visit goes through, under lock_engine():
+  /// tenancy_ if tenants are registered, else sharded_, else serial_.
+  ooc::Engine* engine_ = nullptr;
 
-  /// Sharded hot path (MultiIo + eager eviction, engine_shards != 1).
+  /// Serial engine (every configuration the ShardedEngine does not
+  /// cover; null on the sharded path).  All access under engine_mu_.
+  std::mutex engine_mu_;
+  std::unique_ptr<ooc::PolicyEngine> serial_;
+
+  /// Sharded engine (MultiIo + eager eviction, not adaptive).
   std::unique_ptr<trace::ContentionStats> lock_stats_;
   std::unique_ptr<ShardedEngine> sharded_;
 
-  /// Tenancy decorator over the active engine (null = single-tenant:
-  /// events go straight to the engine, exactly as before).  Serial
-  /// path: event calls still hold engine_mu_ (lock order engine_mu_
+  /// Tenancy decorator over serial_ or sharded_ (null = single-tenant).
+  /// Over serial_, visits still hold engine_mu_ (lock order engine_mu_
   /// -> TenantEngine's mutex; the decorator never locks back).
   std::unique_ptr<serve::TenantEngine> tenancy_;
 
@@ -488,8 +494,9 @@ private:
   std::mutex alloc_mu_;
   std::uint64_t blocks_created_ = 0; // guarded by alloc_mu_
 
-  // Adaptive guidance; all state guarded by engine_mu_ (the advisor is
-  // only read by the engine, which is itself driven under that lock).
+  // Adaptive guidance (serial engine only); all state guarded by
+  // engine_mu_ (the advisor is only read by the engine, which is
+  // itself driven under that lock).
   std::unique_ptr<adapt::BlockProfiler> profiler_;
   std::unique_ptr<adapt::PlacementAdvisor> advisor_;
   std::unique_ptr<adapt::StrategyGovernor> governor_;

@@ -9,19 +9,10 @@ namespace hmr::rt {
 using ooc::BlockState;
 using ooc::Command;
 
-namespace {
-
-std::int32_t resolve_shard_count(const ShardedEngine::Config& cfg) {
-  return cfg.num_shards > 0 ? std::min(cfg.num_shards, cfg.num_pes)
-                            : cfg.num_pes;
-}
-
-} // namespace
-
 ShardedEngine::ShardedEngine(Config cfg, trace::ContentionStats* lock_stats)
     : cfg_(std::move(cfg)),
       lock_stats_(lock_stats),
-      shards_(static_cast<std::size_t>(resolve_shard_count(cfg_))),
+      shards_(static_cast<std::size_t>(cfg_.num_pes)),
       pe_claims_(static_cast<std::size_t>(cfg_.num_pes)),
       chunks_(kMaxChunks) {
   HMR_CHECK(cfg_.num_pes > 0);
@@ -33,19 +24,10 @@ ShardedEngine::ShardedEngine(Config cfg, trace::ContentionStats* lock_stats)
     HMR_CHECK_MSG(tiers_.size() >= 2, "placement hierarchy needs >= 2 levels");
     cfg_.fast_capacity = tiers_.front().capacity;
   }
-  const auto n_shards = static_cast<std::int32_t>(shards_.size());
   budgets_.resize(tiers_.size());
   for (std::size_t k = 0; k + 1 < tiers_.size(); ++k) {
     budgets_[k] =
-        std::make_unique<ooc::TierBudget>(tiers_[k].capacity, n_shards);
-  }
-  pes_per_shard_ = (cfg_.num_pes + n_shards - 1) / n_shards;
-  for (std::int32_t s = 0; s < n_shards; ++s) {
-    const std::int32_t first = s * pes_per_shard_;
-    const std::int32_t count =
-        std::min(pes_per_shard_, cfg_.num_pes - first);
-    shards_[static_cast<std::size_t>(s)].wait_q.resize(
-        static_cast<std::size_t>(count));
+        std::make_unique<ooc::TierBudget>(tiers_[k].capacity, cfg_.num_pes);
   }
   for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
 }
@@ -140,8 +122,7 @@ private:
 
 bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
                               std::vector<Command>& cmds) {
-  const std::int32_t pe = tr.desc.pe;
-  const std::int32_t shard_idx = shard_of(pe);
+  const std::int32_t pe = tr.desc.pe; // == its shard's index
   StripeLockSet locks(*this, tr.desc.deps);
 
   // Pass 1: the all-or-nothing admission decision.
@@ -168,7 +149,7 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
           cfg_.fast_capacity / static_cast<std::uint64_t>(cfg_.num_pes);
       if (held != 0 && held + extra > share) return false;
     }
-    if (extra > 0 && !budgets_[0]->try_claim(shard_idx, extra)) {
+    if (extra > 0 && !budgets_[0]->try_claim(pe, extra)) {
       HMR_CHECK_MSG(extra <= cfg_.fast_capacity,
                     "scheduling wedge: a waiting task's dependences exceed "
                     "the fast-tier capacity (reduced working set must fit "
@@ -198,7 +179,7 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
       // when the promotion lands; the level-0 bytes were claimed in
       // `extra` above.
       br.src_claim_shard = br.claim_shard;
-      br.claim_shard = shard_idx;
+      br.claim_shard = pe;
       br.waiters.push_back(&tr);
       ++missing;
       n_inflight_fetch_.fetch_add(1, std::memory_order_acq_rel);
@@ -241,15 +222,13 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
 }
 
 void ShardedEngine::drain_locked(Shard& sh, std::vector<Command>& cmds) {
-  for (auto& q : sh.wait_q) {
-    while (!q.empty()) {
-      TaskRec& head = *sh.tasks.at(q.front());
-      if (!try_admit(sh, head, /*only_if_free=*/false, cmds)) {
-        break; // FIFO: the head blocks its queue
-      }
-      q.pop_front();
-      n_waiting_.fetch_sub(1, std::memory_order_acq_rel);
+  while (!sh.wait_q.empty()) {
+    TaskRec& head = *sh.tasks.at(sh.wait_q.front());
+    if (!try_admit(sh, head, /*only_if_free=*/false, cmds)) {
+      break; // FIFO: the head blocks its queue
     }
+    sh.wait_q.pop_front();
+    n_waiting_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
@@ -274,17 +253,14 @@ std::vector<Command> ShardedEngine::on_task_arrived(
 
   events_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Command> cmds;
-  const auto s = static_cast<std::size_t>(shard_of(desc.pe));
+  const auto s = static_cast<std::size_t>(desc.pe);
   Shard& sh = shards_[s];
-  const auto local_pe =
-      static_cast<std::size_t>(desc.pe - shard_of(desc.pe) * pes_per_shard_);
 
   lock_shard(s);
   std::lock_guard lk(sh.mu, std::adopt_lock);
 
   auto rec = std::make_unique<TaskRec>();
   rec->desc = desc;
-  rec->shard = static_cast<std::int32_t>(s);
   TaskRec& tr = *rec;
   HMR_CHECK_MSG(sh.tasks.emplace(desc.id, std::move(rec)).second,
                 "duplicate task id");
@@ -303,17 +279,11 @@ std::vector<Command> ShardedEngine::on_task_arrived(
   if (try_admit(sh, tr, /*only_if_free=*/true, cmds)) {
     return cmds;
   }
-  sh.wait_q[local_pe].push_back(desc.id);
+  sh.wait_q.push_back(desc.id);
   n_waiting_.fetch_add(1, std::memory_order_acq_rel);
   // Drain this PE's queue (the paper: the arriving task wakes its PE's
   // IO thread, which admits FIFO heads until HBM is full).
-  auto& q = sh.wait_q[local_pe];
-  while (!q.empty()) {
-    TaskRec& head = *sh.tasks.at(q.front());
-    if (!try_admit(sh, head, /*only_if_free=*/false, cmds)) break;
-    q.pop_front();
-    n_waiting_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  drain_locked(sh, cmds);
   return cmds;
 }
 
@@ -391,7 +361,7 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
                                                      std::int32_t pe) {
   events_.fetch_add(1, std::memory_order_relaxed);
   HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
-  const auto s = static_cast<std::size_t>(shard_of(pe));
+  const auto s = static_cast<std::size_t>(pe);
   Shard& sh = shards_[s];
   std::vector<Command> cmds;
 
@@ -413,7 +383,6 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
   // methods never claimed their deps, so there is nothing to release.
   const std::int32_t evict_agent =
       cfg_.evict_by_worker ? ooc::kWorkerInline : pe;
-  const std::int32_t shard_idx = static_cast<std::int32_t>(s);
   const auto deps_held =
       tr->desc.prefetch ? tr->desc.deps : std::vector<ooc::Dep>{};
   for (const auto& d : deps_held) {
@@ -428,7 +397,7 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
       std::int32_t dst = bottom();
       if (cfg_.demote_cascade) {
         for (std::int32_t k = 1; k < bottom(); ++k) {
-          if (budgets_[static_cast<std::size_t>(k)]->try_claim(shard_idx,
+          if (budgets_[static_cast<std::size_t>(k)]->try_claim(pe,
                                                                br.bytes)) {
             dst = k;
             break;
@@ -438,7 +407,7 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
       br.from_level = 0;
       br.level = dst;
       br.src_claim_shard = br.claim_shard; // level-0 claim, freed on landing
-      br.claim_shard = shard_idx;          // dst claim (bounded dst only)
+      br.claim_shard = pe;                 // dst claim (bounded dst only)
       n_inflight_evict_.fetch_add(1, std::memory_order_acq_rel);
       ++sh.stats.evicts;
       sh.stats.evict_bytes += br.bytes;
@@ -546,14 +515,12 @@ std::vector<std::string> ShardedEngine::audit_invariants(
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& sh = shards_[s];
     std::unordered_map<ooc::TaskId, std::size_t> in_q;
-    for (const auto& q : sh.wait_q) {
-      for (const ooc::TaskId t : q) {
-        ++queued;
-        ++in_q[t];
-        if (sh.tasks.find(t) == sh.tasks.end()) {
-          fail("shard " + std::to_string(s) + ": queued task " +
-               std::to_string(t) + " has no record");
-        }
+    for (const ooc::TaskId t : sh.wait_q) {
+      ++queued;
+      ++in_q[t];
+      if (sh.tasks.find(t) == sh.tasks.end()) {
+        fail("shard " + std::to_string(s) + ": queued task " +
+             std::to_string(t) + " has no record");
       }
     }
     records += sh.tasks.size();

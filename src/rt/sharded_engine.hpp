@@ -8,9 +8,9 @@
 // itself becomes the bottleneck — exactly the overhead the paper's
 // runtime is supposed to avoid.  This engine de-serializes it:
 //
-//   * PEs are partitioned into shards; each shard owns the wait queues
-//     and task records of its PEs behind its own mutex, so admission
-//     and completion on different PE groups never contend;
+//   * every PE is its own shard, which owns the PE's wait queue and
+//     task records behind its own mutex, so admission and completion
+//     on different PEs never contend;
 //   * block records live in a global table behind *striped* mutexes
 //     (stripe = block id mod 64); an admission locks only the stripes
 //     of its dependences, in sorted order, making the all-or-nothing
@@ -35,8 +35,8 @@
 // Scope: the MultiIo strategy with eager eviction (the paper's best
 // configuration and the runtime's default).  SingleIo's round-robin,
 // SyncNoIo, lazy eviction's shared LRU and the adaptive advisor are
-// inherently global and stay on the single-engine path; the Runtime
-// picks per configuration.  Policy semantics mirror the serial engine:
+// inherently global and stay on the serial engine; the Runtime picks
+// per configuration.  Policy semantics mirror the serial engine:
 // all-or-nothing admission, per-PE FIFO wait queues, fair-admission
 // share gate, fetch dedup via waiter lists, refcount-guarded eviction,
 // and capacity released only when an eviction has finished.
@@ -61,9 +61,8 @@ namespace hmr::rt {
 class ShardedEngine : public ooc::Engine {
 public:
   struct Config {
+    /// PEs, and engine shards: one per PE.
     std::int32_t num_pes = 1;
-    /// Number of shards (<= num_pes); 0 = one shard per PE.
-    std::int32_t num_shards = 0;
     std::uint64_t fast_capacity = 0;
     bool fair_admission = true;
     bool writeonly_nocopy = false;
@@ -168,7 +167,6 @@ private:
 
   struct TaskRec {
     ooc::TaskDesc desc;
-    std::int32_t shard = 0;
     std::uint64_t claim_bytes = 0;
     std::atomic<std::uint32_t> missing{0};
   };
@@ -198,10 +196,10 @@ private:
                          : ooc::BlockState::InSlow;
   }
 
+  /// One PE's engine state; shards_[pe].
   struct alignas(64) Shard {
     std::mutex mu;
-    /// Wait queues of the shard's PEs, indexed by (pe - first_pe).
-    std::vector<std::deque<ooc::TaskId>> wait_q;
+    std::deque<ooc::TaskId> wait_q;
     std::unordered_map<ooc::TaskId, std::unique_ptr<TaskRec>> tasks;
     ooc::PolicyEngine::Stats stats;
   };
@@ -213,10 +211,6 @@ private:
   struct alignas(64) PeClaim {
     std::atomic<std::uint64_t> bytes{0};
   };
-
-  std::int32_t shard_of(std::int32_t pe) const {
-    return pe / pes_per_shard_;
-  }
 
   BlockRec& block(ooc::BlockId b) const;
   Stripe& stripe(ooc::BlockId b) const {
@@ -233,8 +227,8 @@ private:
   bool try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
                  std::vector<ooc::Command>& cmds);
 
-  /// Admit admissible FIFO heads of every wait queue in `sh`.
-  /// Caller holds sh.mu.
+  /// Admit admissible FIFO heads of `sh`'s wait queue.  Caller holds
+  /// sh.mu.
   void drain_locked(Shard& sh, std::vector<ooc::Command>& cmds);
 
   /// Lock shard `s` (counted) and drain it.
@@ -249,7 +243,6 @@ private:
   }
 
   Config cfg_;
-  std::int32_t pes_per_shard_ = 1;
   std::vector<ooc::TierDesc> tiers_; // resolved hierarchy
   /// One budget per bounded level (index = level); nullptr for the
   /// unbounded bottom level.

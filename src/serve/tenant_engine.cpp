@@ -343,8 +343,7 @@ std::vector<std::string> TenantEngine::audit_invariants(
 
 // ---- priority dispatch ----
 
-int TenantEngine::dispatch_rank(const ooc::Command& c) const {
-  std::lock_guard<std::mutex> lk(mu_);
+int TenantEngine::dispatch_rank_locked(const ooc::Command& c) const {
   if (c.kind == ooc::Command::Kind::Evict) return -1;
   if (c.kind != ooc::Command::Kind::Fetch) return 0;
   const auto it = fetch_inflight_.find(c.block);
@@ -352,8 +351,7 @@ int TenantEngine::dispatch_rank(const ooc::Command& c) const {
   return qos_rank(reg_.desc(it->second.tenant).qos);
 }
 
-TenantId TenantEngine::command_tenant(const ooc::Command& c) const {
-  std::lock_guard<std::mutex> lk(mu_);
+TenantId TenantEngine::command_tenant_locked(const ooc::Command& c) const {
   if (c.kind == ooc::Command::Kind::Fetch) {
     const auto it = fetch_inflight_.find(c.block);
     if (it != fetch_inflight_.end()) return it->second.tenant;
@@ -361,8 +359,8 @@ TenantId TenantEngine::command_tenant(const ooc::Command& c) const {
   return QuotaLedger::kUnowned;
 }
 
-void TenantEngine::note_displacement(TenantId winner, TenantId loser) {
-  std::lock_guard<std::mutex> lk(mu_);
+void TenantEngine::note_displacement_locked(TenantId winner,
+                                            TenantId loser) {
   if (winner < tenants_.size()) ++tenants_[winner].displaced;
   if (loser < tenants_.size()) ++tenants_[loser].displaced_by;
 }

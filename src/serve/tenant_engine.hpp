@@ -27,6 +27,7 @@
 // token buckets and latency percentiles are deterministic; the
 // runtime feeds a steady_clock (the default).
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -133,16 +134,36 @@ public:
 
   // ---- priority dispatch (executors) ----
 
-  /// Dispatch rank of a queued IO command: lower runs first.  Evicts
-  /// outrank every fetch (they free capacity someone is waiting on);
-  /// fetches rank by their tenant's QoS class.
-  int dispatch_rank(const ooc::Command& c) const;
-  /// Executor inserted a `winner`-tenant fetch ahead of a queued
-  /// `loser`-tenant fetch (both from dispatch_rank's tenant lookup).
-  void note_displacement(TenantId winner, TenantId loser);
-  /// Tenant a queued Fetch command belongs to (kUnowned for Evict or
-  /// unknown): the executor's key for dispatch ordering and lanes.
-  TenantId command_tenant(const ooc::Command& c) const;
+  /// Queue `item` on an executor's IO queue `q`.  With priority
+  /// dispatch on, it enters ahead of the first queued element of worse
+  /// dispatch rank (evicts outrank every fetch, since they free
+  /// capacity someone is waiting on; fetches rank by their tenant's QoS
+  /// class), and every queued fetch a fetch overtakes counts as a
+  /// displacement of its tenant.  Otherwise it is appended (FIFO).
+  /// Transfers already started are never interrupted.  `command_of`
+  /// maps a queue element to its ooc::Command.
+  template <class T, class CommandOf = std::identity>
+  void enqueue(std::deque<T>& q, T item, CommandOf command_of = {}) {
+    if (!priority_dispatch()) {
+      q.push_back(std::move(item));
+      return;
+    }
+    std::lock_guard<std::mutex> lk(mu_);
+    const ooc::Command& c = command_of(item);
+    const int rank = dispatch_rank_locked(c);
+    const auto pos = std::find_if(q.begin(), q.end(), [&](const T& x) {
+      return dispatch_rank_locked(command_of(x)) > rank;
+    });
+    if (c.kind == ooc::Command::Kind::Fetch) {
+      const TenantId winner = command_tenant_locked(c);
+      for (auto it = pos; it != q.end(); ++it) {
+        const ooc::Command& loser = command_of(*it);
+        if (loser.kind != ooc::Command::Kind::Fetch) continue;
+        note_displacement_locked(winner, command_tenant_locked(loser));
+      }
+    }
+    q.insert(pos, std::move(item));
+  }
 
   // ---- observability ----
 
@@ -203,6 +224,13 @@ private:
   void pump_locked(std::vector<ooc::Command>& cmds);
   /// Account the quota/stat effects of inner-engine commands.
   void observe_locked(const std::vector<ooc::Command>& cmds);
+  /// Dispatch rank of a queued IO command: lower runs first.
+  int dispatch_rank_locked(const ooc::Command& c) const;
+  /// Tenant a queued Fetch command belongs to (kUnowned for Evict or
+  /// unknown).
+  TenantId command_tenant_locked(const ooc::Command& c) const;
+  /// A `winner`-tenant fetch was queued ahead of a `loser`-tenant one.
+  void note_displacement_locked(TenantId winner, TenantId loser);
   double now_locked() const { return clock_(); }
 
   ooc::Engine& inner_;

@@ -145,6 +145,7 @@ SimExecutor::SimExecutor(SimConfig cfg)
     // Token buckets and latency percentiles run on virtual time.
     tenancy_->set_clock([this] { return now_; });
     if (auto* adv = tenancy_->advisor()) engine_.set_advisor(adv);
+    active_ = tenancy_.get();
   }
 }
 
@@ -158,8 +159,7 @@ void SimExecutor::final_audit() {
   telemetry::AuditReport r;
   r.time = now_;
   r.at_quiescence = true;
-  r.violations = tenancy_ ? tenancy_->audit_invariants(true)
-                          : engine_.audit_invariants(true);
+  r.violations = active_->audit_invariants(true);
   if (attrib_) {
     const auto roll = attrib_->rollup();
     if (roll.sum_violations > 0) {
@@ -327,29 +327,11 @@ void SimExecutor::enqueue_agent(const ooc::Command& c) {
   Job j;
   j.cmd = c;
   auto& q = agents_[a].q;
-  if (tenancy_ && tenancy_->priority_dispatch()) {
-    // Priority-aware preemption of queued work: this command enters
-    // ahead of every queued command of worse dispatch rank (evicts
-    // outrank fetches; fetches rank by tenant QoS).  In-progress
-    // transfers are never interrupted.
-    const int rank = tenancy_->dispatch_rank(c);
-    auto pos = q.end();
-    for (auto qit = q.begin(); qit != q.end(); ++qit) {
-      if (tenancy_->dispatch_rank(qit->cmd) > rank) {
-        pos = qit;
-        break;
-      }
-    }
-    if (pos != q.end() && c.kind == ooc::Command::Kind::Fetch) {
-      const serve::TenantId w = tenancy_->command_tenant(c);
-      for (auto qit = pos; qit != q.end(); ++qit) {
-        if (qit->cmd.kind == ooc::Command::Kind::Fetch) {
-          tenancy_->note_displacement(
-              w, tenancy_->command_tenant(qit->cmd));
-        }
-      }
-    }
-    q.insert(pos, std::move(j));
+  if (tenancy_) {
+    tenancy_->enqueue(q, std::move(j),
+                      [](const Job& x) -> const ooc::Command& {
+                        return x.cmd;
+                      });
   } else {
     q.push_back(std::move(j));
   }
@@ -442,8 +424,7 @@ void SimExecutor::start_transfer(const ooc::Command& cmd,
              Lane& lane = on_worker ? pes_[lane_index] : agents_[lane_index];
              lane.busy = false;
              if (on_worker) result_.worker_transfer_seconds += now_ - t0;
-             process(tenancy_ ? tenancy_->on_fetch_complete(cmd.block)
-                              : engine_.on_fetch_complete(cmd.block));
+             process(active_->on_fetch_complete(cmd.block));
              if (on_worker) {
                pump_pe(lane_index);
              } else {
@@ -508,13 +489,8 @@ void SimExecutor::finish_transfer(std::uint64_t flow_id) {
   lane.busy = false;
   if (ctx.on_worker) result_.worker_transfer_seconds += now_ - ctx.t0;
 
-  if (tenancy_) {
-    process(fetch ? tenancy_->on_fetch_complete(ctx.cmd.block)
-                  : tenancy_->on_evict_complete(ctx.cmd.block));
-  } else {
-    process(fetch ? engine_.on_fetch_complete(ctx.cmd.block)
-                  : engine_.on_evict_complete(ctx.cmd.block));
-  }
+  process(fetch ? active_->on_fetch_complete(ctx.cmd.block)
+                : active_->on_evict_complete(ctx.cmd.block));
   if (ctx.on_worker) {
     pump_pe(ctx.lane_index);
     if (cfg_.node_run_queue) pump_node_queue();
@@ -583,24 +559,19 @@ void SimExecutor::finish_task(ooc::TaskId id, std::size_t pe, double t_start,
   result_.compute_lane_seconds += duration;
   ++result_.tasks_completed;
   pes_[pe].busy = false;
-  if (tenancy_) {
+  if (tenancy_ && tracer_.enabled()) {
     // Mirror the compute interval onto the task's tenant lane (lanes
     // after the workers and IO agents) for per-tenant timelines.
     // Tracer::summarize(worker_lanes) clips to the worker lanes, so
     // utilization figures are unaffected.
-    if (tracer_.enabled()) {
-      const auto dit = descs_.find(id);
-      if (dit != descs_.end()) {
-        tracer_.record(
-            cfg_.model.num_pes + num_agents_ +
-                static_cast<std::int32_t>(dit->second.tenant),
-            trace::Category::Compute, t_start, now_, id);
-      }
+    const auto dit = descs_.find(id);
+    if (dit != descs_.end()) {
+      tracer_.record(cfg_.model.num_pes + num_agents_ +
+                         static_cast<std::int32_t>(dit->second.tenant),
+                     trace::Category::Compute, t_start, now_, id);
     }
-    process(tenancy_->on_task_complete(id, static_cast<std::int32_t>(pe)));
-  } else {
-    process(engine_.on_task_complete(id));
   }
+  process(active_->on_task_complete(id, static_cast<std::int32_t>(pe)));
   // DAG delivery: completion releases successor messages.
   if (const auto it = dependents_.find(id); it != dependents_.end()) {
     for (const auto succ : it->second) {

@@ -197,6 +197,10 @@ class SimExecutor {
 public:
   explicit SimExecutor(SimConfig cfg);
 
+  // Clocks, the tenancy decorator and active_ point into this object.
+  SimExecutor(const SimExecutor&) = delete;
+  SimExecutor& operator=(const SimExecutor&) = delete;
+
   /// Run the workload to quiescence; returns timing and stats.
   /// May be called once per executor instance.
   SimResult run(const Workload& w);
@@ -268,9 +272,7 @@ private:
   /// Queue an IO command on its agent lane — QoS-priority insertion
   /// when tenancy's priority dispatch is on, FIFO otherwise.
   void enqueue_agent(const ooc::Command& c);
-  bool engine_quiescent() const {
-    return tenancy_ ? tenancy_->quiescent() : engine_.quiescent();
-  }
+  bool engine_quiescent() const { return active_->quiescent(); }
   void final_audit();
   void pump_pe(std::size_t pe);
   void pump_node_queue();
@@ -304,6 +306,9 @@ private:
   /// Tenancy decorator over engine_ (null = single-tenant: events go
   /// straight to engine_, byte-identical to the pre-tenancy executor).
   std::unique_ptr<serve::TenantEngine> tenancy_;
+  /// The engine every completion event, audit and quiescence check
+  /// goes through: tenancy_ if tenants are registered, else engine_.
+  ooc::Engine* active_ = &engine_;
   EventQueue eq_;
   double now_ = 0;
   int num_agents_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "util/check.hpp"
@@ -12,18 +10,9 @@
 
 namespace hmr::trace {
 
-namespace {
-
-bool env_forces_serial() {
-  const char* v = std::getenv("HMR_TRACE_SERIAL");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-} // namespace
-
 Tracer::Tracer(bool enabled, const Options& opt)
     : enabled_(enabled),
-      serial_(opt.serial || env_forces_serial()),
+      serial_(opt.serial),
       rings_(opt.ring_capacity) {}
 
 const char* category_name(Category c) {

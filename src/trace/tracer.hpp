@@ -15,8 +15,8 @@
 // (telemetry::EventRing) so the hot path never takes a mutex; every
 // reader (intervals, summaries, renders) drains the rings into the
 // interval log first, under the tracer's single consumer mutex.  The
-// old mutex + push_back path survives only as the Options::serial /
-// HMR_TRACE_SERIAL=1 fallback.
+// old mutex + push_back path survives only as the Options::serial
+// fallback.
 
 #include <atomic>
 #include <cstdint>
@@ -108,10 +108,8 @@ public:
     /// drain; any reader drains, so size for the longest stretch of
     /// recording between reads.
     std::size_t ring_capacity = 1 << 14;
-    /// Deprecated serial path: record under the global mutex into the
-    /// log directly, exactly the pre-ring behaviour.  Also forced by
-    /// setting HMR_TRACE_SERIAL=1 in the environment (kill switch if
-    /// the lock-free path ever misbehaves on an exotic platform).
+    /// Serial path: record under the global mutex into the log
+    /// directly, exactly the pre-ring behaviour.
     bool serial = false;
   };
 

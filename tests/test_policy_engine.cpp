@@ -337,87 +337,6 @@ TEST(PolicyLazy, WarmReuseSkipsRefetch) {
 
 // ---------- misuse detection ----------
 
-// ---------- batched event entry point ----------
-
-TEST(PolicyBatch, StepBatchMatchesPerEventCalls) {
-  // The same scripted MultiIo event sequence through two engines: one
-  // driven by the per-event entry points, one by step_batch.  The
-  // concatenated command streams and the final stats must be
-  // identical — step_batch is pure lock amortization, not policy.
-  auto run_script = [](bool batched) {
-    PolicyEngine e(cfg(Strategy::MultiIo, 100, 2));
-    for (BlockId b = 0; b < 4; ++b) e.add_block(b, 40);
-    std::vector<Command> all;
-    auto feed = [&](std::vector<PolicyEngine::Event> evs) {
-      if (batched) {
-        auto c = e.step_batch(std::move(evs));
-        all.insert(all.end(), c.begin(), c.end());
-        return;
-      }
-      for (auto& ev : evs) {
-        std::vector<Command> c;
-        switch (ev.kind) {
-          case PolicyEngine::Event::Kind::TaskArrived:
-            c = e.on_task_arrived(ev.task);
-            break;
-          case PolicyEngine::Event::Kind::FetchComplete:
-            c = e.on_fetch_complete(ev.block);
-            break;
-          case PolicyEngine::Event::Kind::EvictComplete:
-            c = e.on_evict_complete(ev.block);
-            break;
-          case PolicyEngine::Event::Kind::TaskComplete:
-            c = e.on_task_complete(ev.task_id);
-            break;
-        }
-        all.insert(all.end(), c.begin(), c.end());
-      }
-    };
-    // Two tasks admitted (one shared dep, dedup), a third over
-    // capacity that waits, then completions and evictions that admit
-    // it — exercises every Event kind and the retry paths.
-    feed({PolicyEngine::Event::arrived(
-              make_task(1, 0, {{0, AccessMode::ReadWrite},
-                               {1, AccessMode::ReadOnly}})),
-          PolicyEngine::Event::arrived(
-              make_task(2, 1, {{1, AccessMode::ReadOnly}}))});
-    feed({PolicyEngine::Event::fetched(0),
-          PolicyEngine::Event::fetched(1),
-          PolicyEngine::Event::arrived(
-              make_task(3, 0, {{2, AccessMode::ReadWrite},
-                               {3, AccessMode::ReadWrite}}))});
-    feed({PolicyEngine::Event::completed(1),
-          PolicyEngine::Event::completed(2)});
-    feed({PolicyEngine::Event::evicted(0),
-          PolicyEngine::Event::evicted(1)});
-    feed({PolicyEngine::Event::fetched(2),
-          PolicyEngine::Event::fetched(3),
-          PolicyEngine::Event::completed(3),
-          PolicyEngine::Event::evicted(2),
-          PolicyEngine::Event::evicted(3)});
-    EXPECT_TRUE(e.quiescent());
-    return std::make_pair(std::move(all), e.stats());
-  };
-
-  const auto [cmds_a, stats_a] = run_script(false);
-  const auto [cmds_b, stats_b] = run_script(true);
-  ASSERT_EQ(cmds_a.size(), cmds_b.size());
-  for (std::size_t i = 0; i < cmds_a.size(); ++i) {
-    EXPECT_EQ(cmds_a[i].kind, cmds_b[i].kind) << i;
-    EXPECT_EQ(cmds_a[i].block, cmds_b[i].block) << i;
-    EXPECT_EQ(cmds_a[i].task, cmds_b[i].task) << i;
-    EXPECT_EQ(cmds_a[i].agent, cmds_b[i].agent) << i;
-    EXPECT_EQ(cmds_a[i].pe, cmds_b[i].pe) << i;
-    EXPECT_EQ(cmds_a[i].nocopy, cmds_b[i].nocopy) << i;
-  }
-  EXPECT_EQ(stats_a.tasks_run, stats_b.tasks_run);
-  EXPECT_EQ(stats_a.fetches, stats_b.fetches);
-  EXPECT_EQ(stats_a.fetch_bytes, stats_b.fetch_bytes);
-  EXPECT_EQ(stats_a.evicts, stats_b.evicts);
-  EXPECT_EQ(stats_a.evict_bytes, stats_b.evict_bytes);
-  EXPECT_EQ(stats_a.fetch_dedup_hits, stats_b.fetch_dedup_hits);
-}
-
 TEST(PolicyErrors, DuplicateTaskIdDies) {
   PolicyEngine e(cfg(Strategy::MultiIo, 100));
   e.add_block(0, 10);

@@ -274,11 +274,12 @@ TEST(RtConcurrency, ShardedIsTheMultiIoDefault) {
   EXPECT_TRUE(rt.sharded());
   EXPECT_EQ(rt.engine_shards(), 2);
 
-  cfg.engine_shards = 1; // explicit global-lock baseline
+  cfg.adaptive = true; // the advisor and governor need the serial engine
   rt::Runtime rt2(cfg);
   EXPECT_FALSE(rt2.sharded());
+  EXPECT_EQ(rt2.engine_shards(), 1);
 
-  cfg.engine_shards = 0;
+  cfg.adaptive = false;
   cfg.strategy = ooc::Strategy::SingleIo; // global policy: serial path
   rt::Runtime rt3(cfg);
   EXPECT_FALSE(rt3.sharded());
@@ -394,13 +395,15 @@ TEST(RtConcurrency, StressSharedBlocksAcrossShards) {
 
 TEST(RtConcurrency, GlobalAndShardedAgreeOnSerializedWorkload) {
   // One task in flight at a time: scheduling decisions are forced, so
-  // both engines must produce identical traffic.
-  auto run = [](int engine_shards) {
+  // the serial engine (SingleIo) and the sharded engine (MultiIo) must
+  // produce identical traffic.
+  auto run = [](ooc::Strategy strategy) {
     rt::Runtime::Config cfg;
     cfg.num_pes = 2;
     cfg.mem_scale = 1.0 / 4096;
-    cfg.engine_shards = engine_shards;
+    cfg.strategy = strategy;
     rt::Runtime rt(cfg);
+    EXPECT_EQ(rt.sharded(), strategy == ooc::Strategy::MultiIo);
     rt::IoHandle<std::uint64_t> h(rt, 4096);
     for (std::uint64_t i = 0; i < h.size(); ++i) h[i] = i;
     for (int t = 0; t < 12; ++t) {
@@ -414,8 +417,8 @@ TEST(RtConcurrency, GlobalAndShardedAgreeOnSerializedWorkload) {
     }
     return rt.policy_stats();
   };
-  const auto g = run(1);
-  const auto s = run(0);
+  const auto g = run(ooc::Strategy::SingleIo);
+  const auto s = run(ooc::Strategy::MultiIo);
   EXPECT_EQ(g.tasks_run, s.tasks_run);
   EXPECT_EQ(g.fetches, s.fetches);
   EXPECT_EQ(g.fetch_bytes, s.fetch_bytes);

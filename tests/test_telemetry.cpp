@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <sstream>
 #include <string>
@@ -220,23 +219,6 @@ TEST(TelemetryTracer, FullRingDropsAndCountsWithoutBlocking) {
   const auto before = t.dropped();
   t.clear();
   EXPECT_EQ(t.dropped(), before);
-}
-
-TEST(TelemetryTracer, SerialEnvKnobForcesMutexPath) {
-  // HMR_TRACE_SERIAL=1 must defeat the ring even when Options ask for
-  // a tiny capacity: the serial path never drops.
-  ASSERT_EQ(::setenv("HMR_TRACE_SERIAL", "1", 1), 0);
-  {
-    trace::Tracer::Options opt;
-    opt.ring_capacity = 8;
-    trace::Tracer t(true, opt);
-    for (int i = 0; i < 100; ++i) {
-      t.record(0, Category::Compute, i, i + 0.5);
-    }
-    EXPECT_EQ(t.dropped(), 0u);
-    EXPECT_EQ(t.intervals().size(), 100u);
-  }
-  ::unsetenv("HMR_TRACE_SERIAL");
 }
 
 TEST(TelemetryTracer, ConcurrentRecordVsDrain) {
