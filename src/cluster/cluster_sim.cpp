@@ -425,37 +425,3 @@ sim::ClusterResult ClusterRunResult::summary() const {
 }
 
 } // namespace hmr::cluster
-
-namespace hmr::sim {
-
-// Source-compatible fronts for the classic weak-scaling API, now
-// backed by the genuine multi-node simulation (declared in
-// sim/cluster.hpp, defined here so hmr_sim does not depend on
-// hmr_cluster).
-
-ClusterResult run_cluster(const ClusterParams& p) {
-  cluster::ClusterConfig c;
-  c.node = p.node;
-  c.net = p.net;
-  c.nodes = p.nodes;
-  c.bytes_per_node = p.bytes_per_node;
-  c.reduced_bytes = p.reduced_bytes;
-  c.iterations = p.iterations;
-  c.strategy = p.strategy;
-  cluster::ClusterSim sim(std::move(c));
-  return sim.run().summary();
-}
-
-std::vector<ClusterResult> weak_scaling_sweep(const ClusterParams& base,
-                                              const std::vector<int>& nodes) {
-  std::vector<ClusterResult> out;
-  out.reserve(nodes.size());
-  for (const int n : nodes) {
-    ClusterParams p = base;
-    p.nodes = n;
-    out.push_back(run_cluster(p));
-  }
-  return out;
-}
-
-} // namespace hmr::sim

@@ -121,7 +121,7 @@ struct ClusterRunResult {
   /// (empty = every byte accounted for).
   std::vector<std::string> audit;
 
-  /// The classic sim::ClusterResult view (run_cluster's return shape).
+  /// The classic weak-scaling view (sim::ClusterResult).
   sim::ClusterResult summary() const;
 };
 

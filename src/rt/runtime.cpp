@@ -13,12 +13,32 @@
 #endif
 
 #include "telemetry/bridge.hpp"
-#include "telemetry/crash.hpp"
 #include "util/check.hpp"
 
 namespace hmr::rt {
 
 namespace {
+
+Runtime::Config normalized(Runtime::Config cfg) {
+  cfg.io_batch = std::max(1, cfg.io_batch);
+  if (cfg.serve_port >= 0) cfg.metrics = true; // /metrics needs them
+  return cfg;
+}
+
+telemetry::Hub::Options hub_options(const Runtime::Config& cfg,
+                                    telemetry::MetricsRegistry* reg,
+                                    std::function<double()> clock) {
+  telemetry::Hub::Options o;
+  o.registry = reg;
+  o.flight_depth = cfg.flight_depth;
+  o.history_depth = cfg.history_depth;
+  o.attrib = reg != nullptr;
+  o.attrib_shards = static_cast<std::size_t>(std::max(1, cfg.num_pes));
+  o.decision_log = cfg.adaptive;
+  o.audit = cfg.audit;
+  o.clock = std::move(clock);
+  return o;
+}
 
 /// The runtime's placement hierarchy: the Config override verbatim, or
 /// the model's tiers in bandwidth order with non-bottom budgets equal
@@ -106,49 +126,24 @@ std::vector<mem::MemoryManager::TierSpec> tier_specs(
 } // namespace
 
 Runtime::Runtime(Config cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(normalized(std::move(cfg))),
       mm_(std::make_unique<mem::MemoryManager>(tier_specs(cfg_),
                                                cfg_.memory_pool)),
       pending_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tasks_done_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tracer_(cfg_.trace, cfg_.trace_opts),
-      t0_(std::chrono::steady_clock::now()) {
+      t0_(std::chrono::steady_clock::now()),
+      metrics_(cfg_.metrics ? std::make_unique<telemetry::MetricsRegistry>()
+                            : nullptr),
+      hub_(hub_options(cfg_, metrics_.get(), [this] { return now(); })) {
   HMR_CHECK(cfg_.num_pes > 0);
-  cfg_.io_batch = std::max(1, cfg_.io_batch);
-  if (cfg_.serve_port >= 0) cfg_.metrics = true; // /metrics needs them
-  if (cfg_.metrics) {
-    metrics_ = std::make_unique<telemetry::MetricsRegistry>();
-    mh_.fetch_ns = &metrics_->histogram(
-        "hmr_fetch_latency_ns", "", "Fetch migration wall time (ns)");
-    mh_.evict_ns = &metrics_->histogram(
-        "hmr_evict_latency_ns", "", "Evict migration wall time (ns)");
-    mh_.task_wait_ns = &metrics_->histogram(
-        "hmr_task_wait_ns", "",
-        "Interception-to-execution wait per prefetch task (ns)");
-    mh_.run_q_depth = &metrics_->histogram(
-        "hmr_run_queue_depth", "",
-        "Ready-queue depth observed per PE wakeup");
-    telemetry::AttributionTable::Options ao;
-    ao.shards = static_cast<std::size_t>(cfg_.num_pes);
-    attrib_ = std::make_unique<telemetry::AttributionTable>(ao);
-  }
-  if (cfg_.metrics && cfg_.history_depth > 0) {
-    history_ = std::make_unique<telemetry::HistoryBuffer>(
-        *metrics_, cfg_.history_depth);
-    history_->set_clock([this] { return now(); });
-  }
-  cfg_.flight_depth = telemetry::flight_depth_from_env(cfg_.flight_depth);
-  if (cfg_.flight_depth > 0) {
-    flight_ = std::make_unique<telemetry::BlockFlightRecorder>(
-        cfg_.flight_depth);
-  }
   if (cfg_.chunk_threshold > 0) {
     mm_->set_chunked_copy(cfg_.chunk_threshold, cfg_.chunk_bytes);
   }
   // Shadow residency is the runtime's only migration path: clean
   // blocks move back and forth as pointer swaps (docs/PERF.md §4).
   mm_->set_zero_copy(true);
-  mm_->set_shadow_audit(telemetry::audit_enabled(cfg_.audit));
+  mm_->set_shadow_audit(hub_.audit_enabled());
   const bool sharded = sharded_eligible(cfg_);
   if (cfg_.lock_stats) {
     // One slot per engine shard; the serial engine's mutex is slot 0.
@@ -170,26 +165,10 @@ Runtime::Runtime(Config cfg)
     engine_ = serial_.get();
   }
   if (cfg_.adaptive) {
-    HMR_CHECK_MSG(ooc::strategy_moves_data(cfg_.strategy),
-                  "adaptive guidance requires a movement strategy");
-    profiler_ = std::make_unique<adapt::BlockProfiler>(cfg_.profiler_cfg);
-    adapt::AdvisorConfig ac = adapt::AdvisorConfig::from_model(cfg_.model);
-    advisor_ = std::make_unique<adapt::PlacementAdvisor>(*profiler_, ac);
-    adapt::GovernorConfig gc = cfg_.governor_cfg;
-    gc.initial_strategy = cfg_.strategy;
-    gc.initial_eager_evict = cfg_.eager_evict;
-    gc.num_pes = cfg_.num_pes;
-    gc.channel_bytes_per_second =
-        cfg_.model.channel_capacity(cfg_.model.slow, cfg_.model.fast);
-    governor_ = std::make_unique<adapt::StrategyGovernor>(gc);
-    serial_->set_advisor(advisor_.get()); // before any thread starts
-    if (cfg_.decision_log_depth > 0) {
-      decisions_ =
-          std::make_unique<telemetry::DecisionLog>(cfg_.decision_log_depth);
-      decisions_->set_clock([this] { return now(); });
-      advisor_->set_decision_sink(decisions_.get());
-      governor_->set_decision_sink(decisions_.get());
-    }
+    guidance_ = std::make_unique<adapt::Guidance>(
+        cfg_.model, serial_->tiers(), cfg_.profiler_cfg, cfg_.strategy,
+        cfg_.eager_evict, cfg_.num_pes, hub_.decisions());
+    serial_->set_advisor(&guidance_->advisor()); // before any thread starts
   }
   if (cfg_.serve.enabled()) {
     HMR_CHECK_MSG(!cfg_.adaptive,
@@ -373,7 +352,7 @@ void Runtime::pe_loop(int pe) {
         w.run_q.pop_front();
       }
       if (metrics_ && !tasks.empty()) {
-        mh_.run_q_depth->observe(tasks.size() + w.run_q.size());
+        hub_.histograms().run_q_depth->observe(tasks.size() + w.run_q.size());
       }
       if (tasks.empty()) {
         while (!w.msgs.empty() && msgs.size() < depth) {
@@ -481,7 +460,7 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
   for (const auto& task : tasks) {
     const double ts = now();
     if (metrics_) {
-      mh_.task_wait_ns->observe(
+      hub_.histograms().task_wait_ns->observe(
           static_cast<std::uint64_t>((ts - task.t_arrive) * 1e9));
     }
     task.body();
@@ -491,7 +470,7 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
     for (const mem::BlockId b : task.writes) mm_->mark_dirty(b);
     const double te = now();
     tracer_.record(pe, trace::Category::Compute, ts, te, task.id);
-    if (attrib_) {
+    if (telemetry::AttributionTable* attrib = hub_.attribution()) {
       telemetry::TaskAttribution a;
       a.task = task.id;
       a.pe = pe;
@@ -506,7 +485,7 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
       a.seconds[static_cast<int>(telemetry::Bucket::FetchWait)] = fetch;
       a.seconds[static_cast<int>(telemetry::Bucket::QueueWait)] =
           window - fetch;
-      attrib_->record(static_cast<std::size_t>(pe), a);
+      attrib->record(static_cast<std::size_t>(pe), a);
     }
   }
   tasks_done_[static_cast<std::size_t>(pe)].v.fetch_add(
@@ -527,9 +506,9 @@ std::vector<ooc::Command> Runtime::ev_arrivals(
     const std::vector<ooc::TaskDesc>& descs) {
   std::vector<ooc::Command> cmds;
   auto elk = lock_engine();
-  if (profiler_) {
+  if (guidance_) {
     for (const auto& d : descs) {
-      profiler_->on_task_arrived(
+      guidance_->on_arrival(
           d, [this](mem::BlockId b) { return mm_->block_bytes(b); });
     }
   }
@@ -588,23 +567,9 @@ void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
 
 void Runtime::record_migration(const ooc::Command& cmd, bool copied,
                                double ts, double te, int trace_lane) {
-  const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
-  // Interval.task == 0 means "not task-bound"; the engine uses
-  // kInvalidTask for untriggered evictions.
-  const ooc::TaskId cause = cmd.task == ooc::kInvalidTask ? 0 : cmd.task;
-  const std::uint64_t bytes = copied ? mm_->block_bytes(cmd.block) : 0;
-  tracer_.record_migration(
-      trace_lane, fetch ? trace::Category::Prefetch : trace::Category::Evict,
-      ts, te, cause, cmd.src_tier, cmd.dst_tier, bytes);
-  if (metrics_) {
-    (fetch ? mh_.fetch_ns : mh_.evict_ns)
-        ->observe(static_cast<std::uint64_t>((te - ts) * 1e9));
-  }
-  if (flight_) {
-    flight_->record(cmd.block,
-                    {te, cause, cmd.src_tier, cmd.dst_tier, bytes, fetch});
-  }
-  if (fetch) {
+  hub_.record_migration(tracer_, trace_lane, cmd, ts, te,
+                        copied ? mm_->block_bytes(cmd.block) : 0);
+  if (cmd.kind == ooc::Command::Kind::Fetch) {
     fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
     fetch_completed_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -651,7 +616,7 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
           }
           // Deps are resident from here; start - t_ready is pure run
           // queue wait, t_ready - t_arrive is the fetch wait.
-          if (attrib_) task.t_ready = now();
+          if (hub_.attribution()) task.t_ready = now();
           PeWorker& w = *pes_[static_cast<std::size_t>(c.pe)];
           std::lock_guard lk(w.mu);
           w.run_q.push_back(std::move(task));
@@ -699,14 +664,9 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
 }
 
 void Runtime::observe_locked(const std::vector<ooc::Command>& cmds) {
-  if (!governor_) return;
-  for (const auto& c : cmds) {
-    if (c.kind == ooc::Command::Kind::Fetch) {
-      profiler_->on_fetch(c.block, mm_->block_bytes(c.block));
-    }
-  }
-  peak_inflight_ = std::max(peak_inflight_, serial_->inflight_fetches());
-  if (serial_->total_waiting() > 0) phase_contended_ = true;
+  if (!guidance_) return;
+  guidance_->observe(cmds, *serial_,
+                     [this](mem::BlockId b) { return mm_->block_bytes(b); });
 }
 
 void Runtime::governor_phase_end() {
@@ -714,36 +674,16 @@ void Runtime::governor_phase_end() {
   std::vector<ooc::Command> cmds;
   {
     auto elk = lock_engine();
-    adapt::PhaseObservation obs;
-    obs.phase_seconds = t_now - phase_start_;
-    const ooc::PolicyEngine::Stats& st = serial_->stats();
-    obs.tasks = st.tasks_run - phase_base_.tasks_run;
-    obs.fetches = st.fetches - phase_base_.fetches;
-    obs.fetch_bytes = st.fetch_bytes - phase_base_.fetch_bytes;
-    obs.evict_bytes = st.evict_bytes - phase_base_.evict_bytes;
-    obs.fetch_dedup_hits =
-        st.fetch_dedup_hits - phase_base_.fetch_dedup_hits;
-    obs.lru_reclaims = st.lru_reclaims - phase_base_.lru_reclaims;
-    obs.peak_inflight_fetches = peak_inflight_;
-    obs.admission_contended = phase_contended_;
-    obs.unique_bytes = profiler_->end_phase().unique_bytes;
-    if (tracer_.enabled() && obs.phase_seconds > 0) {
+    const double phase_seconds = t_now - phase_start_;
+    double wait_fraction = 0;
+    if (tracer_.enabled() && phase_seconds > 0) {
       const double compute =
           tracer_.summarize(cfg_.num_pes, phase_start_, t_now)
               .total_of(trace::Category::Compute);
-      obs.wait_fraction = std::clamp(
-          1.0 - compute / (obs.phase_seconds * cfg_.num_pes), 0.0, 1.0);
+      wait_fraction = std::clamp(
+          1.0 - compute / (phase_seconds * cfg_.num_pes), 0.0, 1.0);
     }
-    phase_base_ = st;
-    peak_inflight_ = 0;
-    phase_contended_ = false;
-
-    const adapt::Decision d = governor_->on_phase_end(obs);
-    advisor_->set_streaming_bypass(d.bypass_streaming);
-    serial_->set_fair_admission(d.fair_admission);
-    serial_->set_strategy(d.strategy);
-    append(cmds, serial_->set_eager_evict(d.eager_evict));
-    append(cmds, serial_->set_lru_watermark(d.lru_watermark));
+    cmds = guidance_->end_phase(*serial_, phase_seconds, wait_fraction);
   }
   phase_start_ = t_now;
   if (cmds.empty()) return;
@@ -795,17 +735,6 @@ bool Runtime::engine_quiescent() {
   return engine_->quiescent();
 }
 
-std::vector<Runtime::LevelUse> Runtime::level_usage() {
-  auto elk = lock_engine();
-  const auto& tiers = engine_->tiers();
-  std::vector<LevelUse> out(tiers.size());
-  for (std::size_t k = 0; k < tiers.size(); ++k) {
-    out[k].used = engine_->tier_used(static_cast<std::int32_t>(k));
-    out[k].capacity = tiers[k].capacity;
-  }
-  return out;
-}
-
 void Runtime::poke_io_for_assist() {
   for (auto& w : io_) {
     std::lock_guard lk(w->mu);
@@ -825,22 +754,28 @@ void Runtime::wait_idle() {
     });
   }
   // Each wait_idle barrier is a phase boundary for the governor.
-  if (governor_) governor_phase_end();
-  sample_metrics();
-  // ...and a history tick: the bridged counters were just refreshed,
-  // so the snapshot that lands in the ring is coherent.
-  if (history_) history_->sample();
+  if (guidance_) governor_phase_end();
+  // ...and a history tick: the hub refreshes the bridged counters
+  // before sampling, so the snapshot that lands in the ring is
+  // coherent.
+  if (metrics_) {
+    export_runtime_metrics();
+    auto elk = lock_engine();
+    hub_.on_quiescence(*engine_, tracer_);
+  }
   // Quiescence is the one point where every ledger must reconcile
-  // exactly — audit here, and refresh the crash bundle while the
-  // state is consistent.
-  if (telemetry::audit_enabled(cfg_.audit)) run_wait_idle_audit();
-  if (crash_installed_) publish_crash_bundle();
+  // exactly — audit here.
+  if (hub_.audit_enabled()) run_wait_idle_audit();
 }
 
 void Runtime::sample_metrics() {
   if (!metrics_) return;
-  telemetry::export_policy_stats(*metrics_, policy_stats());
-  if (attrib_) attrib_->export_metrics(*metrics_);
+  export_runtime_metrics();
+  auto elk = lock_engine();
+  hub_.export_metrics(*engine_, tracer_);
+}
+
+void Runtime::export_runtime_metrics() {
   if (sharded_) {
     for (std::int32_t s = 0; s < sharded_->num_shards(); ++s) {
       telemetry::export_policy_stats(
@@ -857,23 +792,6 @@ void Runtime::sample_metrics() {
     tracer_.note_copy_fallbacks(mm_->chunk_ring().ring_fallbacks());
   }
   telemetry::export_data_movement(*metrics_, *mm_);
-  metrics_
-      ->counter("hmr_trace_events_dropped_total", "",
-                "Trace intervals lost to ring overflow")
-      .set(tracer_.dropped());
-  const std::vector<LevelUse> levels = level_usage();
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    const std::string labels =
-        telemetry::prom_label("level", std::to_string(k));
-    metrics_
-        ->gauge("hmr_tier_used_bytes", labels,
-                "Bytes claimed on the hierarchy level")
-        .set(static_cast<double>(levels[k].used));
-    metrics_
-        ->gauge("hmr_tier_capacity_bytes", labels,
-                "Level budget (0 = unbounded bottom)")
-        .set(static_cast<double>(levels[k].capacity));
-  }
 }
 
 ooc::PolicyEngine::Stats Runtime::policy_stats() {
@@ -898,7 +816,7 @@ std::uint64_t Runtime::now_ns() const {
 
 double Runtime::fetch_p99_seconds() const {
   if (!metrics_) return 0;
-  const telemetry::Histogram& h = *mh_.fetch_ns;
+  const telemetry::Histogram& h = *hub_.histograms().fetch_ns;
   const std::uint64_t n = h.count();
   if (n == 0) return 0;
   const std::uint64_t rank = n - n / 100; // the p99 sample, 1-based
@@ -914,18 +832,20 @@ double Runtime::fetch_p99_seconds() const {
 }
 
 telemetry::AuditReport Runtime::audit_now() {
-  telemetry::AuditReport r;
-  r.time = now();
+  const double t = now();
   auto elk = lock_engine();
-  r.at_quiescence = engine_->quiescent();
+  const bool at_quiescence = engine_->quiescent();
   // The sharded ledgers only reconcile exactly at quiescence (budget
   // releases commit outside the stripe critical sections), so
   // off-quiescence calls report nothing rather than guess.  Under
   // tenancy the audit adds quota-ledger conservation and
   // admitted/completed bookkeeping to the inner engine's.
-  if (!r.at_quiescence && !serial_) return r;
-  r.violations = engine_->audit_invariants(r.at_quiescence);
-  return r;
+  if (!at_quiescence && !serial_) {
+    telemetry::AuditReport r;
+    r.time = t;
+    return r;
+  }
+  return hub_.audit(*engine_, t, at_quiescence);
 }
 
 std::uint64_t Runtime::audit_runs() const {
@@ -1000,20 +920,25 @@ std::string Runtime::status_json() {
     os << "}";
   }
   os << "],\"tiers\":[";
-  const std::vector<LevelUse> levels = level_usage();
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    if (k) os << ",";
-    os << "{\"level\":" << k << ",\"used_bytes\":" << levels[k].used
-       << ",\"capacity_bytes\":" << levels[k].capacity << "}";
+  {
+    // Claimed bytes and budget of each hierarchy level, fastest first.
+    auto elk = lock_engine();
+    const auto& tiers = engine_->tiers();
+    for (std::size_t k = 0; k < tiers.size(); ++k) {
+      if (k) os << ",";
+      os << "{\"level\":" << k << ",\"used_bytes\":"
+         << engine_->tier_used(static_cast<std::int32_t>(k))
+         << ",\"capacity_bytes\":" << tiers[k].capacity << "}";
+    }
   }
   os << "]";
 
   // Top-N hottest tracked blocks (adaptive runs; [] otherwise) — the
   // hmr_top dashboard's hot-block panel.
   os << ",\"hot_blocks\":[";
-  if (profiler_) {
+  if (guidance_) {
     auto elk = lock_engine();
-    std::vector<adapt::BlockProfile> profs = profiler_->profiles();
+    std::vector<adapt::BlockProfile> profs = guidance_->profiler().profiles();
     std::sort(profs.begin(), profs.end(),
               [](const adapt::BlockProfile& a, const adapt::BlockProfile& b) {
                 return a.expected_accesses_per_phase() >
@@ -1036,10 +961,11 @@ std::string Runtime::status_json() {
   os << "]";
 
   os << ",\"governor\":";
-  if (governor_) {
+  if (guidance_) {
     // The governor only mutates under engine_mu_ (phase boundaries).
     auto elk = lock_engine();
-    const adapt::Decision& d = governor_->current();
+    const adapt::StrategyGovernor& gov = guidance_->governor();
+    const adapt::Decision& d = gov.current();
     os << "{\"strategy\":\"" << ooc::strategy_name(d.strategy) << "\""
        << ",\"eager_evict\":" << (d.eager_evict ? "true" : "false")
        << ",\"fair_admission\":" << (d.fair_admission ? "true" : "false")
@@ -1047,8 +973,8 @@ std::string Runtime::status_json() {
     num(d.lru_watermark);
     os << ",\"bypass_streaming\":"
        << (d.bypass_streaming ? "true" : "false")
-       << ",\"switches\":" << governor_->switches()
-       << ",\"phases\":" << governor_->phases_observed() << "}";
+       << ",\"switches\":" << gov.switches()
+       << ",\"phases\":" << gov.phases_observed() << "}";
   } else {
     os << "null";
   }
@@ -1084,9 +1010,9 @@ void Runtime::write_diagnostics(std::ostream& os) {
     os << "==== metrics ====\n";
     telemetry::MetricsRegistry::write_prometheus(os, metrics_->snapshot());
   }
-  if (flight_) {
+  if (const auto* flight = hub_.flight_recorder()) {
     os << "==== flight recorder ====\n";
-    flight_->dump(os);
+    flight->dump(os);
   }
   os << "==== trace ====\n";
   if (tracer_.enabled()) {
@@ -1101,18 +1027,7 @@ void Runtime::write_diagnostics(std::ostream& os) {
   }
 }
 
-void Runtime::publish_crash_bundle() {
-  std::ostringstream os;
-  write_diagnostics(os);
-  telemetry::CrashDumper::instance().publish(os.str());
-}
-
 void Runtime::start_introspection() {
-  if (cfg_.crash_dump) {
-    telemetry::CrashDumper::instance().install(cfg_.crash_dump_path);
-    crash_installed_ = true;
-    publish_crash_bundle(); // something to dump even before first idle
-  }
   if (cfg_.watchdog) {
     telemetry::Watchdog::Hooks h;
     h.under_load = [this] {
@@ -1142,9 +1057,6 @@ void Runtime::start_introspection() {
       return policy_stats().remote_fetches;
     };
     h.dump = [this](std::ostream& os) { write_diagnostics(os); };
-    h.tick = [this] {
-      if (crash_installed_) publish_crash_bundle();
-    };
     watchdog_ = std::make_unique<telemetry::Watchdog>(cfg_.watchdog_cfg,
                                                       std::move(h));
     watchdog_->start();
@@ -1192,52 +1104,42 @@ void Runtime::start_introspection() {
       r.body = body.str();
       return r;
     });
-    srv->route("/cluster", [this](const Request&) {
-      Response r;
-      if (!cfg_.cluster_json) {
-        r.status = 404;
-        r.body = "no cluster attached (Config::cluster_json unset)\n";
+    // Cluster views come from caller-supplied JSON hooks; 404 unset.
+    const auto hook = [&srv](const char* path,
+                             const std::function<std::string()>& json,
+                             const char* missing) {
+      srv->route(path, [&json, missing](const Request&) {
+        Response r;
+        if (!json) {
+          r.status = 404;
+          r.body = missing;
+          return r;
+        }
+        r.content_type = "application/json";
+        r.body = json();
         return r;
-      }
-      r.content_type = "application/json";
-      r.body = cfg_.cluster_json();
-      return r;
-    });
-    srv->route("/cluster/metrics", [this](const Request&) {
-      Response r;
-      if (!cfg_.cluster_metrics_json) {
-        r.status = 404;
-        r.body = "no federated metrics attached "
-                 "(Config::cluster_metrics_json unset)\n";
-        return r;
-      }
-      r.content_type = "application/json";
-      r.body = cfg_.cluster_metrics_json();
-      return r;
-    });
-    srv->route("/cluster/attrib", [this](const Request&) {
-      Response r;
-      if (!cfg_.cluster_attrib_json) {
-        r.status = 404;
-        r.body = "no federated attribution attached "
-                 "(Config::cluster_attrib_json unset)\n";
-        return r;
-      }
-      r.content_type = "application/json";
-      r.body = cfg_.cluster_attrib_json();
-      return r;
-    });
+      });
+    };
+    hook("/cluster", cfg_.cluster_json,
+         "no cluster attached (Config::cluster_json unset)\n");
+    hook("/cluster/metrics", cfg_.cluster_metrics_json,
+         "no federated metrics attached "
+         "(Config::cluster_metrics_json unset)\n");
+    hook("/cluster/attrib", cfg_.cluster_attrib_json,
+         "no federated attribution attached "
+         "(Config::cluster_attrib_json unset)\n");
     srv->route("/attrib", [this](const Request&) {
       Response r;
       r.content_type = "application/json";
       std::ostringstream body;
-      attrib_->write_json(body); // serve_port forces metrics on
+      hub_.attribution()->write_json(body); // serve_port forces metrics on
       r.body = body.str();
       return r;
     });
     srv->route("/blocks", [this](const Request& rq) {
       Response r;
-      if (!flight_) {
+      const telemetry::BlockFlightRecorder* flight = hub_.flight_recorder();
+      if (!flight) {
         r.status = 404;
         r.body = "flight recorder disabled (Config::flight_depth=0)\n";
         return r;
@@ -1256,7 +1158,7 @@ void Runtime::start_introspection() {
         r.body = "bad block id: " + it->second + "\n";
         return r;
       }
-      const auto hist = flight_->history(static_cast<mem::BlockId>(id));
+      const auto hist = flight->history(static_cast<mem::BlockId>(id));
       std::ostringstream body;
       body << "{\"block\":" << id << ",\"transitions\":[";
       for (std::size_t i = 0; i < hist.size(); ++i) {
@@ -1277,7 +1179,8 @@ void Runtime::start_introspection() {
     });
     srv->route("/history", [this](const Request& rq) {
       Response r;
-      if (!history_) {
+      const telemetry::HistoryBuffer* history = hub_.history();
+      if (!history) {
         r.status = 404;
         r.body = "history disabled (Config::history_depth=0)\n";
         return r;
@@ -1302,16 +1205,16 @@ void Runtime::start_introspection() {
       }
       r.content_type = "application/json";
       std::ostringstream body;
-      history_->write_json(body, metric, window);
+      history->write_json(body, metric, window);
       r.body = body.str();
       return r;
     });
     srv->route("/decisions", [this](const Request& rq) {
       Response r;
-      if (!decisions_) {
+      const telemetry::DecisionLog* decisions = hub_.decisions();
+      if (!decisions) {
         r.status = 404;
-        r.body = "no decision log (Config::adaptive off or "
-                 "decision_log_depth=0)\n";
+        r.body = "no decision log (Config::adaptive off)\n";
         return r;
       }
       std::vector<telemetry::DecisionLog::Record> recs;
@@ -1324,9 +1227,9 @@ void Runtime::start_introspection() {
           r.body = "bad block id: " + it->second + "\n";
           return r;
         }
-        recs = decisions_->snapshot_block(static_cast<mem::BlockId>(id));
+        recs = decisions->snapshot_block(static_cast<mem::BlockId>(id));
       } else {
-        recs = decisions_->snapshot();
+        recs = decisions->snapshot();
       }
       std::ostringstream body;
       if (const auto it = rq.query.find("format");
@@ -1335,8 +1238,8 @@ void Runtime::start_introspection() {
         r.content_type = "text/csv; charset=utf-8";
       } else {
         telemetry::DecisionLog::write_json(body, recs,
-                                           decisions_->total_recorded(),
-                                           decisions_->overwritten());
+                                           decisions->total_recorded(),
+                                           decisions->overwritten());
         r.content_type = "application/json";
       }
       r.body = body.str();
@@ -1356,10 +1259,6 @@ void Runtime::start_introspection() {
 void Runtime::stop_introspection() {
   if (server_) server_->stop();
   if (watchdog_) watchdog_->stop();
-  if (crash_installed_) {
-    telemetry::CrashDumper::instance().uninstall();
-    crash_installed_ = false;
-  }
 }
 
 } // namespace hmr::rt

@@ -28,6 +28,14 @@
 // mutex, held across each batch of events a PE or IO thread drains.
 // Registered tenants wrap either engine in a serve::TenantEngine.  The
 // paths differ only in locking; hmr::sim always uses the serial engine.
+//
+// Shared with hmr::sim: adaptive runs drive one adapt::Guidance (the
+// runtime measures each phase's wait fraction from the tracer and
+// drains the governor's eviction flush by waiting for idle), and the
+// telemetry planes — histograms, flight recorder, history, decision
+// log, attribution, audits — live in one telemetry::Hub.  What stays
+// here is only the runtime's own: per-shard, lock, chunk-ring, data
+// movement and tenancy exports, the status server, the watchdog.
 
 #include <atomic>
 #include <condition_variable>
@@ -41,20 +49,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adapt/block_profiler.hpp"
-#include "adapt/placement_advisor.hpp"
-#include "adapt/strategy_governor.hpp"
+#include "adapt/guidance.hpp"
 #include "hw/machine_model.hpp"
 #include "mem/memory_manager.hpp"
 #include "ooc/policy_engine.hpp"
 #include "rt/sharded_engine.hpp"
 #include "serve/tenant_engine.hpp"
-#include "telemetry/attrib.hpp"
-#include "telemetry/audit.hpp"
-#include "telemetry/decision_log.hpp"
-#include "telemetry/flight_recorder.hpp"
-#include "telemetry/history.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/hub.hpp"
 #include "telemetry/serve.hpp"
 #include "telemetry/watchdog.hpp"
 #include "trace/contention.hpp"
@@ -96,26 +97,22 @@ public:
     /// sampled at every wait_idle() quiescence tick, served via
     /// /history and tools/hmr_top (0 disables; needs `metrics`).
     std::size_t history_depth = 240;
-    /// Decision provenance ring (adaptive runs): keep the last N
-    /// advisor/governor decisions with their triggering inputs, served
-    /// via /decisions and hmr_trace --decisions (0 disables).
-    std::size_t decision_log_depth = 1024;
     /// Pin threads to cores (Linux): PE i on core i, its IO thread on
     /// the SMT sibling when one exists — the paper's placement ("the
     /// IO threads are scheduled on the hyperthread cores corresponding
     /// to the worker threads, so as to not increase the usage of the
     /// number of physical cores").  No-op when cores are scarce.
     bool pin_threads = false;
-    /// Online adaptive guidance (src/adapt/): same components as
-    /// hmr::sim, driven here under the engine lock.  Phase boundaries
-    /// are wait_idle() calls (one governor step per call).  Requires a
-    /// movement strategy; `strategy` / `eager_evict` above are the
-    /// starting point.  Wait fraction is read from the tracer when
-    /// tracing is on (0 otherwise — the thresholds that depend on it
-    /// simply never fire).
+    /// Online adaptive guidance (src/adapt/): the adapt::Guidance loop
+    /// hmr::sim drives too, here under the engine lock.  Phase
+    /// boundaries are wait_idle() calls (one governor step per call).
+    /// Requires a movement strategy; `strategy` / `eager_evict` above
+    /// are the starting point.  Wait fraction is read from the tracer
+    /// when tracing is on (0 otherwise — the thresholds that depend on
+    /// it simply never fire).  Every decision lands in a provenance
+    /// log, served via /decisions and hmr_trace --decisions.
     bool adaptive = false;
     adapt::ProfilerConfig profiler_cfg;
-    adapt::GovernorConfig governor_cfg;
 
     /// Per-wakeup drain depth of the PE and IO loops: at most this
     /// many ready tasks, messages or migrations per wakeup.  On the
@@ -176,10 +173,6 @@ public:
     /// debug / sanitizer builds, HMR_AUDIT env overrides), 0 = off,
     /// 1 = on.  A failed audit aborts (telemetry::check_audit).
     int audit = -1;
-    /// Install SIGSEGV/SIGBUS/SIGABRT handlers that append the last
-    /// pre-rendered diagnostic bundle before re-raising.
-    bool crash_dump = false;
-    std::string crash_dump_path; // empty = stderr
 
     /// Multi-tenant serving (src/serve/): registering tenants wraps
     /// the active engine (serial or sharded) in a serve::TenantEngine
@@ -218,16 +211,16 @@ public:
 
   /// Block flight recorder (nullptr when Config::flight_depth == 0).
   const telemetry::BlockFlightRecorder* flight_recorder() const {
-    return flight_.get();
+    return hub_.flight_recorder();
   }
 
   /// Metrics history ring (nullptr unless metrics + history_depth).
   /// One sample per wait_idle() quiescence tick.
-  const telemetry::HistoryBuffer* history() const { return history_.get(); }
-  /// Decision provenance log (nullptr unless adaptive +
-  /// decision_log_depth).  Snapshot reads are safe from any thread.
+  const telemetry::HistoryBuffer* history() const { return hub_.history(); }
+  /// Decision provenance log (nullptr unless adaptive).  Snapshot
+  /// reads are safe from any thread.
   const telemetry::DecisionLog* decisions() const {
-    return decisions_.get();
+    return hub_.decisions();
   }
 
   /// Per-task stall attribution (nullptr unless Config::metrics):
@@ -235,7 +228,7 @@ public:
   /// rolled up per tenant and served via /attrib.  Sharded per PE;
   /// read rollup() at quiescence for exact totals.
   const telemetry::AttributionTable* attribution() const {
-    return attrib_.get();
+    return hub_.attribution();
   }
 
   // ---- data blocks ----
@@ -316,10 +309,15 @@ public:
     return lock_stats_.get();
   }
 
-  /// Adaptive runs: the guidance components (nullptr otherwise).
-  /// Read only at quiescence — the PE/IO threads feed them.
-  const adapt::BlockProfiler* profiler() const { return profiler_.get(); }
-  const adapt::StrategyGovernor* governor() const { return governor_.get(); }
+  /// Adaptive runs: the guidance loop and its components (nullptr
+  /// otherwise).  Read only at quiescence — the PE/IO threads feed them.
+  const adapt::Guidance* guidance() const { return guidance_.get(); }
+  const adapt::BlockProfiler* profiler() const {
+    return guidance_ ? &guidance_->profiler() : nullptr;
+  }
+  const adapt::StrategyGovernor* governor() const {
+    return guidance_ ? &guidance_->governor() : nullptr;
+  }
 
   /// Multi-tenant serving decorator (nullptr unless Config::serve
   /// registered tenants).  Snapshot/JSON reads are safe from any
@@ -336,10 +334,11 @@ public:
   /// Stall watchdog (nullptr unless Config::watchdog).
   const telemetry::Watchdog* watchdog() const { return watchdog_.get(); }
 
-  /// Run the engine invariant audit now.  The serial engine audits at
-  /// any time (under its lock); the sharded engine's ledgers are only
-  /// exact at quiescence, so off-quiescence sharded calls return an
-  /// empty report with at_quiescence=false rather than false-positive.
+  /// Run the engine invariant audit (plus the attribution sum check)
+  /// now.  The serial engine audits at any time (under its lock); the
+  /// sharded engine's ledgers are only exact at quiescence, so
+  /// off-quiescence sharded calls return an empty report with
+  /// at_quiescence=false rather than false-positive.
   telemetry::AuditReport audit_now();
   /// wait_idle() audits completed so far (0 when audits are disabled).
   std::uint64_t audit_runs() const;
@@ -349,8 +348,8 @@ public:
   /// the last audit report.  Safe from any thread.
   std::string status_json();
   /// Full diagnostic bundle: status + metrics snapshot + flight
-  /// recorder + trace summary.  Shared by watchdog trips, crash dumps
-  /// and operators holding a core file.
+  /// recorder + trace summary.  Written on watchdog trips; operators
+  /// can call it any time.
   void write_diagnostics(std::ostream& os);
 
 private:
@@ -411,8 +410,8 @@ private:
                          int trace_lane);
   /// Execute one migration (step 1-3) and record it.
   void do_migrate(const ooc::Command& cmd, int trace_lane);
-  /// Trace interval, latency histogram, flight record and fetch
-  /// bookkeeping of one finished migration.
+  /// Hub record (trace interval, latency histogram, flight record) and
+  /// fetch bookkeeping of one finished migration.
   void record_migration(const ooc::Command& cmd, bool copied, double ts,
                         double te, int trace_lane);
   /// Dispatch engine commands.  Fetch/Evict commands whose destination
@@ -439,34 +438,28 @@ private:
   /// `outstanding_ops_` -= n, waking idle waiters on the final one.
   void ops_sub(std::uint64_t n);
   bool engine_quiescent();
-  /// Claimed bytes and budget of each hierarchy level, fastest first.
-  struct LevelUse {
-    std::uint64_t used = 0;
-    std::uint64_t capacity = 0;
-  };
-  std::vector<LevelUse> level_usage();
   /// Wake every IO thread so idle ones can assist a chunked copy.
   void poke_io_for_assist();
   /// Called under lock_engine() after an engine event (adaptive runs,
-  /// serial engine only): feed the profiler the fetches just issued
-  /// and sample governor signals.
+  /// serial engine only): hand the commands to the guidance loop.
   void observe_locked(const std::vector<ooc::Command>& cmds);
   /// One governor step; called from wait_idle at quiescence.
   void governor_phase_end();
+  /// Registry exports only the runtime has: per-shard stats, tenancy,
+  /// lock contention, chunk ring, data movement.
+  void export_runtime_metrics();
   /// Steady-clock ns since t0_ (heartbeat / fetch-age timebase).
   std::uint64_t now_ns() const;
   /// Fetch-latency p99 in seconds from the metrics histogram (<= 0 =
   /// unknown: metrics off or no fetches observed yet).
   double fetch_p99_seconds() const;
-  /// Start status server / watchdog / crash handlers (constructor
-  /// tail, after the worker threads exist) and stop them (destructor
-  /// head, while the workers are still alive to answer hooks).
+  /// Start status server / watchdog (constructor tail, after the
+  /// worker threads exist) and stop them (destructor head, while the
+  /// workers are still alive to answer hooks).
   void start_introspection();
   void stop_introspection();
   /// wait_idle() audit step: run, record for /status, fail-stop.
   void run_wait_idle_audit();
-  /// Re-render the crash bundle into the CrashDumper's buffers.
-  void publish_crash_bundle();
 
   Config cfg_;
   std::unique_ptr<mem::MemoryManager> mm_;
@@ -494,15 +487,10 @@ private:
   std::mutex alloc_mu_;
   std::uint64_t blocks_created_ = 0; // guarded by alloc_mu_
 
-  // Adaptive guidance (serial engine only); all state guarded by
-  // engine_mu_ (the advisor is only read by the engine, which is
-  // itself driven under that lock).
-  std::unique_ptr<adapt::BlockProfiler> profiler_;
-  std::unique_ptr<adapt::PlacementAdvisor> advisor_;
-  std::unique_ptr<adapt::StrategyGovernor> governor_;
-  ooc::PolicyEngine::Stats phase_base_;
-  std::size_t peak_inflight_ = 0;
-  bool phase_contended_ = false;
+  // Adaptive guidance (serial engine only); guarded by engine_mu_
+  // (the advisor is only read by the engine, which is itself driven
+  // under that lock).
+  std::unique_ptr<adapt::Guidance> guidance_;
   double phase_start_ = 0;
 
   std::vector<std::unique_ptr<PeWorker>> pes_;
@@ -524,20 +512,11 @@ private:
   trace::Tracer tracer_;
   std::chrono::steady_clock::time_point t0_;
 
-  // Telemetry (src/telemetry/): registry + cached instrument handles
-  // (so hot paths skip the name lookup), and the block flight
-  // recorder.  All thread-safe by construction.
+  // Telemetry (src/telemetry/): the runtime owns its registry; the
+  // hub owns every plane recorded into it and hands out the hot-path
+  // instrument pointers.  All thread-safe by construction.
   std::unique_ptr<telemetry::MetricsRegistry> metrics_;
-  struct MetricHandles {
-    telemetry::Histogram* fetch_ns = nullptr;
-    telemetry::Histogram* evict_ns = nullptr;
-    telemetry::Histogram* task_wait_ns = nullptr;
-    telemetry::Histogram* run_q_depth = nullptr;
-  } mh_;
-  std::unique_ptr<telemetry::BlockFlightRecorder> flight_;
-  std::unique_ptr<telemetry::HistoryBuffer> history_;
-  std::unique_ptr<telemetry::DecisionLog> decisions_;
-  std::unique_ptr<telemetry::AttributionTable> attrib_;
+  telemetry::Hub hub_;
 
   // Live introspection: per-thread heartbeats (stamped each loop
   // wakeup; parked threads do not beat, the watchdog only reads them
@@ -552,7 +531,6 @@ private:
   std::atomic<std::uint64_t> fetch_last_ns_{0};
   std::unique_ptr<telemetry::Watchdog> watchdog_;
   std::unique_ptr<telemetry::StatusServer> server_;
-  bool crash_installed_ = false;
   mutable std::mutex audit_mu_; // guards the two fields below
   telemetry::AuditReport last_audit_;
   std::uint64_t audit_runs_ = 0;

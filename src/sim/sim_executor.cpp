@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "telemetry/audit.hpp"
-#include "telemetry/bridge.hpp"
 #include "util/check.hpp"
 
 namespace hmr::sim {
@@ -42,6 +40,21 @@ ooc::PolicyEngine::Config engine_config(const SimConfig& cfg) {
   return ec;
 }
 
+telemetry::Hub::Options hub_options(const SimConfig& cfg,
+                                    std::function<double()> clock) {
+  telemetry::Hub::Options o;
+  o.registry = cfg.metrics;
+  o.flight_depth = cfg.flight_depth;
+  o.history_depth = cfg.history_depth;
+  // One attribution shard: the DES is single-threaded.
+  o.attrib = cfg.attrib || cfg.metrics != nullptr;
+  o.attrib_keep_tasks = cfg.attrib_keep_tasks;
+  o.decision_log = cfg.adaptive;
+  o.audit = cfg.audit;
+  o.clock = std::move(clock);
+  return o;
+}
+
 int default_agents(const SimConfig& cfg) {
   // Adaptive runs can switch strategy mid-run; provision one agent per
   // PE so every movement strategy has its lanes (commands route via
@@ -63,36 +76,8 @@ SimExecutor::SimExecutor(SimConfig cfg)
     : cfg_(std::move(cfg)),
       engine_(engine_config(cfg_)),
       num_agents_(default_agents(cfg_)),
+      hub_(hub_options(cfg_, [this] { return now_; })), // virtual seconds
       tracer_(cfg_.trace, cfg_.trace_opts) {
-  if (cfg_.metrics) {
-    // Same names as the rt executor; values are virtual time.
-    mh_.fetch_ns = &cfg_.metrics->histogram(
-        "hmr_fetch_latency_ns", "", "Fetch migration time (virtual ns)");
-    mh_.evict_ns = &cfg_.metrics->histogram(
-        "hmr_evict_latency_ns", "", "Evict migration time (virtual ns)");
-    mh_.task_wait_ns = &cfg_.metrics->histogram(
-        "hmr_task_wait_ns", "",
-        "Arrival-to-execution wait per task (virtual ns)");
-    mh_.run_q_depth = &cfg_.metrics->histogram(
-        "hmr_run_queue_depth", "",
-        "PE job-queue depth observed per task start");
-  }
-  if (cfg_.metrics && cfg_.history_depth > 0) {
-    history_ = std::make_unique<telemetry::HistoryBuffer>(
-        *cfg_.metrics, cfg_.history_depth);
-    history_->set_clock([this] { return now_; }); // virtual seconds
-  }
-  cfg_.flight_depth = telemetry::flight_depth_from_env(cfg_.flight_depth);
-  if (cfg_.flight_depth > 0) {
-    flight_ = std::make_unique<telemetry::BlockFlightRecorder>(
-        cfg_.flight_depth);
-  }
-  if (cfg_.attrib || cfg_.metrics) {
-    telemetry::AttributionTable::Options ao;
-    ao.shards = 1; // the DES is single-threaded
-    ao.keep_tasks = cfg_.attrib_keep_tasks;
-    attrib_ = std::make_unique<telemetry::AttributionTable>(ao);
-  }
   pes_.resize(static_cast<std::size_t>(cfg_.model.num_pes));
   agents_.resize(static_cast<std::size_t>(num_agents_));
   const auto& m = cfg_.model;
@@ -109,32 +94,10 @@ SimExecutor::SimExecutor(SimConfig cfg)
   if (cfg_.adaptive) {
     HMR_CHECK_MSG(ooc::strategy_moves_data(cfg_.strategy) && !cfg_.cache_mode,
                   "adaptive guidance requires a movement strategy");
-    profiler_ = std::make_unique<adapt::BlockProfiler>(cfg_.profiler_cfg);
-    adapt::AdvisorConfig acfg = adapt::AdvisorConfig::from_model(m);
-    if (!remote_params_.empty()) {
-      // The backing store is a remote pool: re-fetching a bypassed
-      // block pays the network, raising the bypass break-even.  The
-      // loaded basis matches from_model: every PE's flow sharing the
-      // NIC leaves each pes/bandwidth seconds per byte.
-      const auto& rp = remote_params_.begin()->second;
-      acfg.apply_remote(static_cast<double>(m.num_pes) / rp.bandwidth,
-                        rp.latency);
-    }
-    advisor_ = std::make_unique<adapt::PlacementAdvisor>(*profiler_, acfg);
-    adapt::GovernorConfig gc = cfg_.governor_cfg;
-    gc.initial_strategy = cfg_.strategy;
-    gc.initial_eager_evict = cfg_.eager_evict;
-    gc.num_pes = m.num_pes;
-    gc.channel_bytes_per_second = m.channel_capacity(m.slow, m.fast);
-    governor_ = std::make_unique<adapt::StrategyGovernor>(gc);
-    engine_.set_advisor(advisor_.get());
-    if (cfg_.decision_log_depth > 0) {
-      decisions_ =
-          std::make_unique<telemetry::DecisionLog>(cfg_.decision_log_depth);
-      decisions_->set_clock([this] { return now_; }); // virtual seconds
-      advisor_->set_decision_sink(decisions_.get());
-      governor_->set_decision_sink(decisions_.get());
-    }
+    guidance_ = std::make_unique<adapt::Guidance>(
+        m, engine_.tiers(), cfg_.profiler_cfg, cfg_.strategy,
+        cfg_.eager_evict, m.num_pes, hub_.decisions());
+    engine_.set_advisor(&guidance_->advisor());
   }
   if (cfg_.serve.enabled()) {
     HMR_CHECK_MSG(!cfg_.adaptive,
@@ -149,30 +112,31 @@ SimExecutor::SimExecutor(SimConfig cfg)
   }
 }
 
-/// End-of-run invariant audit: the DES drives the serial engine from
-/// one thread and both run() exits require quiescence first, so the
-/// audit is always exact here.  Aborts on violation (check_audit).
-/// Under tenancy the decorator's audit adds ledger conservation and
-/// admission bookkeeping on top of the inner engine's.
-void SimExecutor::final_audit() {
-  if (!telemetry::audit_enabled(cfg_.audit)) return;
-  telemetry::AuditReport r;
-  r.time = now_;
-  r.at_quiescence = true;
-  r.violations = active_->audit_invariants(true);
-  if (attrib_) {
-    const auto roll = attrib_->rollup();
-    if (roll.sum_violations > 0) {
-      r.violations.push_back(
-          "attribution buckets fail to sum to wall time on " +
-          std::to_string(roll.sum_violations) + " tasks (worst rel err " +
-          std::to_string(roll.worst_rel_err) + ")");
-    }
+SimResult SimExecutor::finish() {
+  result_.total_time = now_;
+  result_.policy = engine_.stats();
+  result_.final_strategy = engine_.config().strategy;
+  result_.final_eager_evict = engine_.config().eager_evict;
+  if (guidance_) result_.governor_switches = guidance_->governor().switches();
+  if (tracer_.enabled()) tracer_.fill_idle(0, now_);
+  // End-of-run invariant audit: the DES drives the serial engine from
+  // one thread and both run() exits require quiescence first, so the
+  // audit is always exact here.  Aborts on violation (check_audit).
+  // Under tenancy the decorator's audit adds ledger conservation and
+  // admission bookkeeping on top of the inner engine's.
+  if (hub_.audit_enabled()) {
+    telemetry::check_audit(hub_.audit(*active_, now_, true));
   }
-  telemetry::check_audit(r);
+  export_sim_metrics();
+  hub_.export_metrics(engine_, tracer_);
+  return result_;
 }
 
 void SimExecutor::dispatch_arrival(const ooc::TaskDesc& desc) {
+  if (guidance_) {
+    guidance_->on_arrival(
+        desc, [this](ooc::BlockId b) { return wl_->blocks()[b].bytes; });
+  }
   if (!tenancy_) {
     process(engine_.on_task_arrived(desc));
     return;
@@ -296,9 +260,6 @@ void SimExecutor::process(std::vector<ooc::Command> cmds) {
       }
       case ooc::Command::Kind::Fetch:
       case ooc::Command::Kind::Evict: {
-        if (profiler_ && c.kind == ooc::Command::Kind::Fetch) {
-          profiler_->on_fetch(c.block, wl_->blocks()[c.block].bytes);
-        }
         Job j;
         j.cmd = c;
         if (c.agent == ooc::kWorkerInline) {
@@ -315,9 +276,10 @@ void SimExecutor::process(std::vector<ooc::Command> cmds) {
       }
     }
   }
-  if (governor_) {
-    peak_inflight_ = std::max(peak_inflight_, engine_.inflight_fetches());
-    if (engine_.total_waiting() > 0) phase_contended_ = true;
+  if (guidance_) {
+    guidance_->observe(cmds, engine_, [this](ooc::BlockId b) {
+      return wl_->blocks()[b].bytes;
+    });
   }
 }
 
@@ -373,10 +335,11 @@ void SimExecutor::pump_pe(std::size_t pe) {
     HMR_CHECK(arrive_it != arrive_.end());
     result_.task_wait.add(start - arrive_it->second);
     result_.task_exec.add(dur);
-    if (mh_.task_wait_ns) {
-      mh_.task_wait_ns->observe(static_cast<std::uint64_t>(
+    if (const telemetry::Hub::Histograms& h = hub_.histograms();
+        h.task_wait_ns) {
+      h.task_wait_ns->observe(static_cast<std::uint64_t>(
           (start - arrive_it->second) * 1e9));
-      mh_.run_q_depth->observe(lane.q.size() + 1);
+      h.run_q_depth->observe(lane.q.size() + 1);
     }
     eq_.at(now_ + dur, [this, id = job.task, pe, start, dur] {
       finish_task(id, pe, start, dur);
@@ -464,23 +427,13 @@ void SimExecutor::finish_transfer(std::uint64_t flow_id) {
   flows_.erase(it);
 
   const bool fetch = ctx.cmd.kind == ooc::Command::Kind::Fetch;
-  // Interval.task == 0 means "not task-bound" (kInvalidTask = an
-  // untriggered eviction).
+  // Only task-bound migrations (kInvalidTask = an untriggered
+  // eviction) feed a task's stall attribution.
   const ooc::TaskId cause =
       ctx.cmd.task == ooc::kInvalidTask ? 0 : ctx.cmd.task;
   const std::uint64_t bytes = wl_->blocks()[ctx.cmd.block].bytes;
-  tracer_.record_migration(
-      ctx.trace_lane,
-      fetch ? trace::Category::Prefetch : trace::Category::Evict, ctx.t0,
-      now_, cause, ctx.cmd.src_tier, ctx.cmd.dst_tier, bytes);
-  if (mh_.fetch_ns) {
-    (fetch ? mh_.fetch_ns : mh_.evict_ns)
-        ->observe(static_cast<std::uint64_t>((now_ - ctx.t0) * 1e9));
-  }
-  if (flight_) {
-    flight_->record(ctx.cmd.block, {now_, cause, ctx.cmd.src_tier,
-                                    ctx.cmd.dst_tier, bytes, fetch});
-  }
+  hub_.record_migration(tracer_, ctx.trace_lane, ctx.cmd, ctx.t0, now_,
+                        bytes);
   if (const auto* rp = remote_path(ctx.cmd.src_tier, ctx.cmd.dst_tier)) {
     result_.remote_messages += rp->messages(bytes);
   }
@@ -505,7 +458,7 @@ void SimExecutor::finish_transfer(std::uint64_t flow_id) {
 /// time as queue wait.
 void SimExecutor::note_wait(ooc::TaskId cause, double t0,
                             const ooc::Command& cmd) {
-  if (!attrib_) return;
+  if (!hub_.attribution()) return;
   telemetry::WaitSegment s;
   s.t0 = t0;
   s.t1 = now_;
@@ -521,7 +474,7 @@ void SimExecutor::finish_task(ooc::TaskId id, std::size_t pe, double t_start,
                               double duration) {
   tracer_.record(static_cast<std::int32_t>(pe), trace::Category::Compute,
                  t_start, now_, id);
-  if (attrib_) {
+  if (telemetry::AttributionTable* attrib = hub_.attribution()) {
     telemetry::TaskAttribution a;
     a.task = id;
     a.pe = static_cast<std::int32_t>(pe);
@@ -529,7 +482,7 @@ void SimExecutor::finish_task(ooc::TaskId id, std::size_t pe, double t_start,
     const auto dit = descs_.find(id);
     if (dit != descs_.end()) {
       a.tenant = dit->second.tenant;
-      if (attrib_->keep_tasks() && !cfg_.cache_mode) {
+      if (attrib->keep_tasks() && !cfg_.cache_mode) {
         // Residency at retirement == residency at launch: dependency
         // pins keep the blocks in place while the task runs.
         a.bytes_by_tier.assign(cfg_.model.tiers.size(), 0);
@@ -554,7 +507,7 @@ void SimExecutor::finish_task(ooc::TaskId id, std::size_t pe, double t_start,
       waits_.erase(wit);
     }
     telemetry::decompose_wait(a, std::move(segs));
-    attrib_->record(0, a);
+    attrib->record(0, a);
   }
   result_.compute_lane_seconds += duration;
   ++result_.tasks_completed;
@@ -580,10 +533,7 @@ void SimExecutor::finish_task(ooc::TaskId id, std::size_t pe, double t_start,
       if (--pit->second == 0) {
         const auto dit = descs_.find(succ);
         HMR_CHECK(dit != descs_.end());
-        ++dag_injected_;
-        arrive_[succ] = now_;
-        profile_arrival(dit->second);
-        dispatch_arrival(dit->second);
+        inject_task(dit->second);
       }
     }
   }
@@ -594,53 +544,16 @@ void SimExecutor::finish_task(ooc::TaskId id, std::size_t pe, double t_start,
 void SimExecutor::inject_task(const ooc::TaskDesc& desc) {
   ++dag_injected_;
   arrive_[desc.id] = now_;
-  profile_arrival(desc);
   dispatch_arrival(desc);
 }
 
-void SimExecutor::profile_arrival(const ooc::TaskDesc& desc) {
-  if (!profiler_) return;
-  profiler_->on_task_arrived(
-      desc, [this](ooc::BlockId b) { return wl_->blocks()[b].bytes; });
-}
-
-void SimExecutor::export_metrics() {
-  if (!cfg_.metrics) return;
-  telemetry::MetricsRegistry& reg = *cfg_.metrics;
-  telemetry::export_policy_stats(reg, engine_.stats());
-  if (attrib_) attrib_->export_metrics(reg);
-  if (tenancy_) tenancy_->export_metrics(reg);
-  reg.counter("hmr_trace_events_dropped_total", "",
-              "Trace intervals lost to ring overflow")
-      .set(tracer_.dropped());
-  const auto& tiers = engine_.tiers();
-  for (std::int32_t k = 0; k < engine_.num_levels(); ++k) {
-    const std::string labels =
-        telemetry::prom_label("level", std::to_string(k));
-    reg.gauge("hmr_tier_used_bytes", labels,
-              "Bytes claimed on the hierarchy level")
-        .set(static_cast<double>(engine_.tier_used(k)));
-    reg.gauge("hmr_tier_capacity_bytes", labels,
-              "Level budget (0 = unbounded bottom)")
-        .set(static_cast<double>(
-            tiers[static_cast<std::size_t>(k)].capacity));
-  }
+void SimExecutor::export_sim_metrics() {
+  if (tenancy_ && cfg_.metrics) tenancy_->export_metrics(*cfg_.metrics);
 }
 
 void SimExecutor::governor_phase_end(double t_iter) {
   const double phase_seconds = now_ - t_iter;
-  adapt::PhaseObservation obs;
-  obs.phase_seconds = phase_seconds;
-  const ooc::PolicyEngine::Stats& st = engine_.stats();
-  obs.tasks = st.tasks_run - phase_base_.tasks_run;
-  obs.fetches = st.fetches - phase_base_.fetches;
-  obs.fetch_bytes = st.fetch_bytes - phase_base_.fetch_bytes;
-  obs.evict_bytes = st.evict_bytes - phase_base_.evict_bytes;
-  obs.fetch_dedup_hits = st.fetch_dedup_hits - phase_base_.fetch_dedup_hits;
-  obs.lru_reclaims = st.lru_reclaims - phase_base_.lru_reclaims;
-  obs.peak_inflight_fetches = peak_inflight_;
-  obs.admission_contended = phase_contended_;
-  obs.unique_bytes = profiler_->end_phase().unique_bytes;
+  double wait_fraction = 0;
   if (phase_seconds > 0) {
     // Wait fraction from the trace when one is being recorded (the
     // per-phase summary window), else from the compute-seconds delta.
@@ -650,20 +563,10 @@ void SimExecutor::governor_phase_end(double t_iter) {
                   .total_of(trace::Category::Compute)
             : result_.compute_lane_seconds - phase_compute_base_;
     const double lane_seconds = phase_seconds * cfg_.model.num_pes;
-    obs.wait_fraction =
-        std::clamp(1.0 - compute / lane_seconds, 0.0, 1.0);
+    wait_fraction = std::clamp(1.0 - compute / lane_seconds, 0.0, 1.0);
   }
-  phase_base_ = st;
   phase_compute_base_ = result_.compute_lane_seconds;
-  peak_inflight_ = 0;
-  phase_contended_ = false;
-
-  const adapt::Decision d = governor_->on_phase_end(obs);
-  advisor_->set_streaming_bypass(d.bypass_streaming);
-  engine_.set_fair_admission(d.fair_admission);
-  engine_.set_strategy(d.strategy);
-  process(engine_.set_eager_evict(d.eager_evict));
-  process(engine_.set_lru_watermark(d.lru_watermark));
+  process(guidance_->end_phase(engine_, phase_seconds, wait_fraction));
   // Drain any LRU-flush evictions so the next phase starts clean.
   while (!eq_.empty()) {
     auto [t, fn] = eq_.pop();
@@ -749,14 +652,7 @@ SimResult SimExecutor::run(const Workload& w) {
     HMR_CHECK_MSG(engine_quiescent(),
                   "DAG run ended with tasks or transfers outstanding");
     result_.iteration_times.push_back(now_);
-    result_.total_time = now_;
-    result_.policy = engine_.stats();
-    result_.final_strategy = engine_.config().strategy;
-    result_.final_eager_evict = engine_.config().eager_evict;
-    if (tracer_.enabled()) tracer_.fill_idle(0, now_);
-    final_audit();
-    export_metrics();
-    return result_;
+    return finish();
   }
 
   for (int iter = 0; iter < w.iterations(); ++iter) {
@@ -766,7 +662,6 @@ SimResult SimExecutor::run(const Workload& w) {
       arrive_[t.id] = now_;
       auto [it, ins] = descs_.emplace(t.id, std::move(t));
       HMR_CHECK_MSG(ins, "duplicate task id across iterations");
-      profile_arrival(it->second);
       dispatch_arrival(it->second);
     }
     while (!eq_.empty()) {
@@ -819,24 +714,15 @@ SimResult SimExecutor::run(const Workload& w) {
     result_.iteration_times.push_back(now_ - t_iter);
     // Phase boundary: the governor observes the finished iteration and
     // retunes the engine for the next one (no point after the last).
-    if (governor_ && iter + 1 < w.iterations()) governor_phase_end(t_iter);
-    if (history_) {
+    if (guidance_ && iter + 1 < w.iterations()) governor_phase_end(t_iter);
+    if (hub_.history()) {
       // Refresh the registry (the DES otherwise exports only at the
       // end of run()) so each sample carries current engine counters.
-      export_metrics();
-      history_->sample();
+      export_sim_metrics();
+      hub_.on_quiescence(engine_, tracer_);
     }
   }
-
-  result_.total_time = now_;
-  result_.policy = engine_.stats();
-  result_.final_strategy = engine_.config().strategy;
-  result_.final_eager_evict = engine_.config().eager_evict;
-  if (governor_) result_.governor_switches = governor_->switches();
-  if (tracer_.enabled()) tracer_.fill_idle(0, now_);
-  final_audit();
-  export_metrics();
-  return result_;
+  return finish();
 }
 
 } // namespace hmr::sim

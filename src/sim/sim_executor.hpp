@@ -18,6 +18,12 @@
 // [num_pes, num_pes + num_agents).  Worker-inline transfers (SyncNoIo,
 // or evict_by_worker) block and are traced on the worker's own lane —
 // that *is* the synchronous overhead of the paper's Fig 6a.
+//
+// Shared with hmr::rt: adaptive runs drive one adapt::Guidance (the
+// simulator measures each phase's wait fraction from the tracer or its
+// compute-seconds delta, and drains the governor's eviction flush by
+// running the event queue dry), and the telemetry planes live in one
+// telemetry::Hub, on virtual time.
 
 #include <cstdint>
 #include <deque>
@@ -26,20 +32,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adapt/block_profiler.hpp"
-#include "adapt/placement_advisor.hpp"
-#include "adapt/strategy_governor.hpp"
+#include "adapt/guidance.hpp"
 #include "hw/machine_model.hpp"
 #include "ooc/policy_engine.hpp"
 #include "serve/tenant_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/transfer_channel.hpp"
 #include "sim/workload.hpp"
-#include "telemetry/attrib.hpp"
-#include "telemetry/decision_log.hpp"
-#include "telemetry/flight_recorder.hpp"
-#include "telemetry/history.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/hub.hpp"
 #include "trace/tracer.hpp"
 #include "util/stats.hpp"
 
@@ -93,10 +93,6 @@ struct SimConfig {
   /// every iteration boundary (virtual timestamps) into a bounded ring
   /// readable through history() (0 disables).
   std::size_t history_depth = 240;
-  /// Decision provenance ring (adaptive runs): keep the last N
-  /// advisor/governor decisions with their triggering inputs,
-  /// timestamped in virtual seconds (0 disables).
-  std::size_t decision_log_depth = 1024;
 
   /// Per-task stall attribution (telemetry::AttributionTable): every
   /// retired task's wall time decomposed into compute / fetch-wait /
@@ -109,9 +105,10 @@ struct SimConfig {
   /// included) so the what-if estimator can re-cost individual tasks.
   bool attrib_keep_tasks = false;
 
-  /// Engine invariant audit at the end of run(): -1 = auto (on in
-  /// debug / sanitizer builds, HMR_AUDIT env overrides), 0 = off,
-  /// 1 = on.  A violation aborts (telemetry::check_audit).
+  /// Engine invariant audit (plus the attribution sum check) at the
+  /// end of run(): -1 = auto (on in debug / sanitizer builds, HMR_AUDIT
+  /// env overrides), 0 = off, 1 = on.  A violation aborts
+  /// (telemetry::check_audit).
   int audit = -1;
 
   /// Model KNL *cache mode* instead of flat mode (paper §III-B; the
@@ -151,10 +148,10 @@ struct SimConfig {
   /// StrategyGovernor retune strategy / eviction / fair admission at
   /// every iteration boundary.  `strategy` and `eager_evict` above are
   /// the *starting* configuration.  Requires a movement strategy.
+  /// Every decision lands in a provenance log (decision_log()),
+  /// timestamped in virtual seconds.
   bool adaptive = false;
   adapt::ProfilerConfig profiler_cfg;
-  adapt::GovernorConfig governor_cfg; // initial_*/machine fields are
-                                      // overwritten from this config
 };
 
 struct SimResult {
@@ -211,29 +208,34 @@ public:
 
   int num_agents() const { return num_agents_; }
 
-  /// Adaptive runs: the guidance components (nullptr otherwise).
-  const adapt::BlockProfiler* profiler() const { return profiler_.get(); }
-  const adapt::StrategyGovernor* governor() const { return governor_.get(); }
+  /// Adaptive runs: the guidance loop and its components (nullptr
+  /// otherwise).
+  const adapt::Guidance* guidance() const { return guidance_.get(); }
+  const adapt::BlockProfiler* profiler() const {
+    return guidance_ ? &guidance_->profiler() : nullptr;
+  }
+  const adapt::StrategyGovernor* governor() const {
+    return guidance_ ? &guidance_->governor() : nullptr;
+  }
 
   /// Block flight recorder (nullptr when SimConfig::flight_depth == 0).
   const telemetry::BlockFlightRecorder* flight_recorder() const {
-    return flight_.get();
+    return hub_.flight_recorder();
   }
 
   /// Metrics history ring sampled at iteration boundaries (nullptr
   /// unless SimConfig::metrics and history_depth > 0).
-  const telemetry::HistoryBuffer* history() const { return history_.get(); }
+  const telemetry::HistoryBuffer* history() const { return hub_.history(); }
 
-  /// Decision provenance log (nullptr unless SimConfig::adaptive and
-  /// decision_log_depth > 0).
+  /// Decision provenance log (nullptr unless SimConfig::adaptive).
   const telemetry::DecisionLog* decision_log() const {
-    return decisions_.get();
+    return hub_.decisions();
   }
 
   /// Per-task stall attribution (nullptr unless SimConfig::attrib or
   /// SimConfig::metrics).
   const telemetry::AttributionTable* attribution() const {
-    return attrib_.get();
+    return hub_.attribution();
   }
 
   /// Multi-tenant serving decorator (nullptr unless SimConfig::serve
@@ -265,15 +267,16 @@ private:
   };
 
   void process(std::vector<ooc::Command> cmds);
-  /// Route one arrival: straight to the engine, or through tenancy
-  /// admission (Reject drops the task; Defer parks it for release on
-  /// a later engine event).
+  /// Route one arrival (profiled first on adaptive runs): straight to
+  /// the engine, or through tenancy admission (Reject drops the task;
+  /// Defer parks it for release on a later engine event).
   void dispatch_arrival(const ooc::TaskDesc& desc);
   /// Queue an IO command on its agent lane — QoS-priority insertion
   /// when tenancy's priority dispatch is on, FIFO otherwise.
   void enqueue_agent(const ooc::Command& c);
   bool engine_quiescent() const { return active_->quiescent(); }
-  void final_audit();
+  /// Close the run: final stats, idle fill, audit, registry export.
+  SimResult finish();
   void pump_pe(std::size_t pe);
   void pump_node_queue();
   void pump_agent(std::size_t a);
@@ -283,7 +286,6 @@ private:
   void finish_task(ooc::TaskId id, std::size_t pe, double t_start,
                    double duration);
   void inject_task(const ooc::TaskDesc& desc);
-  void profile_arrival(const ooc::TaskDesc& desc);
   void governor_phase_end(double t_iter);
   double exec_duration(const ooc::TaskDesc& desc) const;
   /// Fluid channel for migrations src -> dst (created on first use
@@ -338,33 +340,20 @@ private:
   std::unordered_map<ooc::TaskId, double> arrive_;
 
   // Adaptive guidance (owned; engine holds a raw advisor pointer).
-  std::unique_ptr<adapt::BlockProfiler> profiler_;
-  std::unique_ptr<adapt::PlacementAdvisor> advisor_;
-  std::unique_ptr<adapt::StrategyGovernor> governor_;
-  ooc::PolicyEngine::Stats phase_base_;  // stats at last phase start
-  double phase_compute_base_ = 0;        // compute lane-seconds ditto
-  std::size_t peak_inflight_ = 0;
-  bool phase_contended_ = false;
+  std::unique_ptr<adapt::Guidance> guidance_;
+  double phase_compute_base_ = 0; // compute lane-seconds at phase start
 
-  // Telemetry: cached instrument handles into the caller's registry
-  // (null when SimConfig::metrics is null) and the flight recorder.
-  struct MetricHandles {
-    telemetry::Histogram* fetch_ns = nullptr;
-    telemetry::Histogram* evict_ns = nullptr;
-    telemetry::Histogram* task_wait_ns = nullptr;
-    telemetry::Histogram* run_q_depth = nullptr;
-  } mh_;
-  std::unique_ptr<telemetry::BlockFlightRecorder> flight_;
-  std::unique_ptr<telemetry::HistoryBuffer> history_;
-  std::unique_ptr<telemetry::DecisionLog> decisions_;
+  // Telemetry planes, on virtual time, recording into the caller's
+  // registry (SimConfig::metrics).
+  telemetry::Hub hub_;
   // Stall attribution: migrations a task caused, keyed by that task,
   // consumed (decomposed into buckets) when the task retires.
-  std::unique_ptr<telemetry::AttributionTable> attrib_;
   std::unordered_map<ooc::TaskId, std::vector<telemetry::WaitSegment>>
       waits_;
   std::int64_t attrib_phase_ = 0;
   void note_wait(ooc::TaskId cause, double t0, const ooc::Command& cmd);
-  void export_metrics();
+  /// Registry exports only the simulator has (tenancy).
+  void export_sim_metrics();
 
   trace::Tracer tracer_;
   SimResult result_;

@@ -47,7 +47,6 @@ void Watchdog::loop() {
       std::unique_lock lk(mu_);
       if (cv_.wait_for(lk, cfg_.interval, [&] { return stop_; })) return;
     }
-    if (hooks_.tick) hooks_.tick();
     evaluate(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
                  .count());

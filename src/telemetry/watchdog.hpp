@@ -94,10 +94,6 @@ public:
     std::function<std::uint64_t()> remote_fetches;
     /// Writes the diagnostic bundle (may be empty).
     std::function<void(std::ostream&)> dump;
-    /// Called once per monitor interval regardless of state — the
-    /// runtime refreshes the crash-dump bundle here.  Not invoked by
-    /// evaluate(), so deterministic tests stay pure.
-    std::function<void()> tick;
   };
 
   Watchdog(Config cfg, Hooks hooks);

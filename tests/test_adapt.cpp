@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <functional>
 
 #include "adapt/block_profiler.hpp"
+#include "adapt/guidance.hpp"
 #include "adapt/placement_advisor.hpp"
 #include "adapt/strategy_governor.hpp"
 #include "util/units.hpp"
@@ -373,6 +377,220 @@ TEST(StrategyGovernor, RefetchRatioHandlesZeroUniqueBytes) {
   o.fetch_bytes = 123;
   o.unique_bytes = 0;
   EXPECT_DOUBLE_EQ(StrategyGovernor::refetch_ratio(o), 0.0);
+}
+
+// ---- Guidance -----------------------------------------------------------
+
+/// One engine whose transfers and tasks complete instantly.  Every
+/// engine visit's commands go to `observe` before they execute, as in
+/// both executors.
+struct InstantLoop {
+  explicit InstantLoop(ooc::PolicyEngine::Config c) : eng(std::move(c)) {}
+
+  void push(std::vector<ooc::Command> cmds) {
+    observe(cmds);
+    q.insert(q.end(), cmds.begin(), cmds.end());
+  }
+  void drain() {
+    while (!q.empty()) {
+      const ooc::Command c = q.front();
+      q.pop_front();
+      switch (c.kind) {
+        case ooc::Command::Kind::Fetch:
+          push(eng.on_fetch_complete(c.block));
+          break;
+        case ooc::Command::Kind::Evict:
+          push(eng.on_evict_complete(c.block));
+          break;
+        case ooc::Command::Kind::Run:
+          push(eng.on_task_complete(c.task, c.pe));
+          break;
+      }
+    }
+  }
+
+  ooc::PolicyEngine eng;
+  std::deque<ooc::Command> q;
+  std::function<void(const std::vector<ooc::Command>&)> observe;
+};
+
+/// Keeps every decision, with the inputs it fired on.
+struct CaptureSink final : DecisionSink {
+  void record(const DecisionEvent& e) override { events.push_back(e); }
+  std::vector<DecisionEvent> events;
+};
+
+constexpr std::uint64_t kBlock = 1 * MiB;
+constexpr int kBlocks = 8;
+
+ooc::PolicyEngine::Config loop_engine(ooc::Strategy s) {
+  ooc::PolicyEngine::Config c;
+  c.strategy = s;
+  c.num_pes = 2;
+  c.fast_capacity = 3 * kBlock;
+  return c;
+}
+
+/// One phase: every block read twice, all arrivals before any
+/// completion (so admission is contended and eager eviction refetches);
+/// from phase 3 on a single task, so the per-phase peaks must reset.
+std::vector<ooc::TaskDesc> loop_phase(int phase) {
+  std::vector<ooc::TaskDesc> tasks;
+  const int n = phase < 3 ? 2 * kBlocks : 1;
+  for (int i = 0; i < n; ++i) {
+    ooc::TaskDesc t;
+    t.id = static_cast<ooc::TaskId>(phase * 100 + i + 1);
+    t.pe = i % 2;
+    t.deps = {{static_cast<ooc::BlockId>(i % kBlocks),
+               ooc::AccessMode::ReadOnly}};
+    tasks.push_back(t);
+  }
+  return tasks;
+}
+
+TEST(Guidance, MatchesTheGovernorFedByHand) {
+  // The reference is the phase loop as each executor wrote it before
+  // Guidance existed: profile arrivals and fetches, track peaks, build
+  // the observation from stats deltas, apply the five settings.
+  const auto m = hw::knl_flat_all_to_all();
+  const auto start = ooc::Strategy::SyncNoIo;
+  const auto bytes_of = [](ooc::BlockId) { return kBlock; };
+
+  CaptureSink sink_a, sink_b;
+  InstantLoop a(loop_engine(start));
+  Guidance g(m, a.eng.tiers(), ProfilerConfig{}, start, true, 2, &sink_a);
+  a.eng.set_advisor(&g.advisor());
+  a.observe = [&](const std::vector<ooc::Command>& cmds) {
+    g.observe(cmds, a.eng, bytes_of);
+  };
+
+  InstantLoop b(loop_engine(start));
+  BlockProfiler prof{ProfilerConfig{}};
+  PlacementAdvisor adv(prof, AdvisorConfig::from_model(m));
+  GovernorConfig gc;
+  gc.initial_strategy = start;
+  gc.num_pes = 2;
+  gc.channel_bytes_per_second = m.channel_capacity(m.slow, m.fast);
+  StrategyGovernor gov(gc);
+  adv.set_decision_sink(&sink_b);
+  gov.set_decision_sink(&sink_b);
+  b.eng.set_advisor(&adv);
+  ooc::PolicyEngine::Stats base;
+  std::size_t peak = 0;
+  bool contended = false;
+  bool went_lazy = false;
+  b.observe = [&](const std::vector<ooc::Command>& cmds) {
+    for (const auto& c : cmds) {
+      if (c.kind == ooc::Command::Kind::Fetch) prof.on_fetch(c.block, kBlock);
+    }
+    peak = std::max(peak, b.eng.inflight_fetches());
+    if (b.eng.total_waiting() > 0) contended = true;
+  };
+
+  for (int i = 0; i < kBlocks; ++i) {
+    a.eng.add_block(static_cast<ooc::BlockId>(i), kBlock);
+    b.eng.add_block(static_cast<ooc::BlockId>(i), kBlock);
+  }
+  for (int phase = 0; phase < 5; ++phase) {
+    for (const auto& t : loop_phase(phase)) {
+      g.on_arrival(t, bytes_of);
+      a.push(a.eng.on_task_arrived(t));
+      prof.on_task_arrived(t, bytes_of);
+      b.push(b.eng.on_task_arrived(t));
+    }
+    a.drain();
+    b.drain();
+    const double wait = 0.5;
+    a.push(g.end_phase(a.eng, 1.0, wait));
+    a.drain();
+
+    PhaseObservation obs;
+    obs.phase_seconds = 1.0;
+    obs.wait_fraction = wait;
+    const auto& st = b.eng.stats();
+    obs.tasks = st.tasks_run - base.tasks_run;
+    obs.fetches = st.fetches - base.fetches;
+    obs.fetch_bytes = st.fetch_bytes - base.fetch_bytes;
+    obs.evict_bytes = st.evict_bytes - base.evict_bytes;
+    obs.fetch_dedup_hits = st.fetch_dedup_hits - base.fetch_dedup_hits;
+    obs.lru_reclaims = st.lru_reclaims - base.lru_reclaims;
+    obs.peak_inflight_fetches = peak;
+    obs.admission_contended = contended;
+    obs.unique_bytes = prof.end_phase().unique_bytes;
+    base = st;
+    peak = 0;
+    contended = false;
+    const Decision d = gov.on_phase_end(obs);
+    went_lazy = went_lazy || !d.eager_evict;
+    adv.set_streaming_bypass(d.bypass_streaming);
+    b.eng.set_fair_admission(d.fair_admission);
+    b.eng.set_strategy(d.strategy);
+    b.push(b.eng.set_eager_evict(d.eager_evict));
+    b.push(b.eng.set_lru_watermark(d.lru_watermark));
+    b.drain();
+
+    const Decision& gd = g.governor().current();
+    SCOPED_TRACE(phase);
+    EXPECT_EQ(gd.strategy, d.strategy);
+    EXPECT_EQ(gd.eager_evict, d.eager_evict);
+    EXPECT_EQ(gd.fair_admission, d.fair_admission);
+    EXPECT_DOUBLE_EQ(gd.lru_watermark, d.lru_watermark);
+    EXPECT_EQ(gd.bypass_streaming, d.bypass_streaming);
+    EXPECT_EQ(gd.changed, d.changed);
+    EXPECT_EQ(a.eng.config().strategy, b.eng.config().strategy);
+    EXPECT_EQ(a.eng.config().eager_evict, b.eng.config().eager_evict);
+    EXPECT_EQ(a.eng.config().fair_admission, b.eng.config().fair_admission);
+    EXPECT_DOUBLE_EQ(a.eng.config().lru_watermark,
+                     b.eng.config().lru_watermark);
+    EXPECT_EQ(a.eng.stats().fetches, b.eng.stats().fetches);
+    EXPECT_EQ(a.eng.stats().lru_reclaims, b.eng.stats().lru_reclaims);
+  }
+  // Same observations, too: every recorded decision carries the inputs
+  // it fired on.
+  ASSERT_EQ(sink_a.events.size(), sink_b.events.size());
+  for (std::size_t i = 0; i < sink_a.events.size(); ++i) {
+    const DecisionEvent& ea = sink_a.events[i];
+    const DecisionEvent& eb = sink_b.events[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ea.kind, eb.kind);
+    EXPECT_EQ(ea.block, eb.block);
+    EXPECT_EQ(ea.peak_inflight, eb.peak_inflight);
+    EXPECT_EQ(ea.lru_reclaims, eb.lru_reclaims);
+    EXPECT_DOUBLE_EQ(ea.refetch_ratio, eb.refetch_ratio);
+    EXPECT_DOUBLE_EQ(ea.channel_util, eb.channel_util);
+    EXPECT_DOUBLE_EQ(ea.wait_fraction, eb.wait_fraction);
+  }
+  // Not vacuous: the loop escaped SyncNoIo and left eager eviction.
+  EXPECT_EQ(g.governor().switches(), gov.switches());
+  EXPECT_EQ(a.eng.config().strategy, ooc::Strategy::MultiIo);
+  EXPECT_TRUE(went_lazy);
+}
+
+TEST(Guidance, RemoteLevelRaisesAdvisorMigrationCosts) {
+  const auto m = hw::knl_flat_all_to_all();
+  const AdvisorConfig base = AdvisorConfig::from_model(m);
+  auto tiers = ooc::tiers_from_model(m);
+  const Guidance local(m, tiers, ProfilerConfig{}, ooc::Strategy::MultiIo,
+                       true, m.num_pes, nullptr);
+  EXPECT_DOUBLE_EQ(local.advisor().config().fetch_seconds_per_byte_loaded,
+                   base.fetch_seconds_per_byte_loaded);
+  EXPECT_DOUBLE_EQ(local.advisor().config().migration_fixed_seconds,
+                   base.migration_fixed_seconds);
+
+  tiers.back().backend = ooc::TierBackendKind::Remote;
+  tiers.back().remote.bandwidth = 1.0e9;
+  tiers.back().remote.latency = 5e-6;
+  const Guidance remote(m, tiers, ProfilerConfig{}, ooc::Strategy::MultiIo,
+                        true, m.num_pes, nullptr);
+  const AdvisorConfig& rc = remote.advisor().config();
+  // Every PE's flow shares the NIC: pes / bandwidth seconds per byte.
+  const double net = static_cast<double>(m.num_pes) / 1.0e9;
+  ASSERT_GT(net, base.fetch_seconds_per_byte_loaded);
+  EXPECT_DOUBLE_EQ(rc.fetch_seconds_per_byte_loaded, net);
+  EXPECT_DOUBLE_EQ(rc.evict_seconds_per_byte_loaded,
+                   std::max(net, base.evict_seconds_per_byte_loaded));
+  EXPECT_DOUBLE_EQ(rc.migration_fixed_seconds,
+                   base.migration_fixed_seconds + 5e-6);
 }
 
 } // namespace

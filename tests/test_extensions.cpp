@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "cluster/cluster_sim.hpp"
 #include "hw/machine_model.hpp"
 #include "ooc/policy_engine.hpp"
 #include "sim/sim_executor.hpp"
@@ -292,19 +293,19 @@ TEST(Cluster, HaloTimeLatencyVsBandwidthRegimes) {
 }
 
 TEST(Cluster, SingleNodeHasNoComm) {
-  sim::ClusterParams p;
-  p.nodes = 1;
-  p.bytes_per_node = 1 * GiB;
-  p.reduced_bytes = 256 * MiB;
-  p.iterations = 2;
-  const auto r = sim::run_cluster(p);
+  cluster::ClusterConfig c;
+  c.nodes = 1;
+  c.bytes_per_node = 1 * GiB;
+  c.reduced_bytes = 256 * MiB;
+  c.iterations = 2;
+  const auto r = cluster::ClusterSim(c).run().summary();
   EXPECT_EQ(r.halo_bytes_per_node, 0u);
   EXPECT_DOUBLE_EQ(r.comm_fraction, 0.0);
   EXPECT_GT(r.iteration_s, 0.0);
 }
 
 TEST(Cluster, WeakScalingPreservesNodeSpeedup) {
-  sim::ClusterParams base;
+  cluster::ClusterConfig base;
   // Shrink the node's fast tier so a 2 GiB per-node set is out of core
   // (the regime where the runtime helps) while the test stays fast.
   base.node.tiers[base.node.fast].capacity = 512 * MiB;
@@ -313,10 +314,10 @@ TEST(Cluster, WeakScalingPreservesNodeSpeedup) {
   base.iterations = 2;
 
   auto at = [&](int n, ooc::Strategy s) {
-    sim::ClusterParams p = base;
-    p.nodes = n;
-    p.strategy = s;
-    return sim::run_cluster(p);
+    cluster::ClusterConfig c = base;
+    c.nodes = n;
+    c.strategy = s;
+    return cluster::ClusterSim(c).run().summary();
   };
   for (int n : {2, 16}) {
     const auto naive = at(n, ooc::Strategy::Naive);
@@ -329,12 +330,21 @@ TEST(Cluster, WeakScalingPreservesNodeSpeedup) {
 }
 
 TEST(Cluster, SweepIsDeterministicAndOrdered) {
-  sim::ClusterParams base;
+  cluster::ClusterConfig base;
   base.bytes_per_node = 1 * GiB;
   base.reduced_bytes = 256 * MiB;
   base.iterations = 2;
-  const auto a = sim::weak_scaling_sweep(base, {1, 2, 4});
-  const auto b = sim::weak_scaling_sweep(base, {1, 2, 4});
+  const auto sweep = [&] {
+    std::vector<sim::ClusterResult> out;
+    for (const int n : {1, 2, 4}) {
+      cluster::ClusterConfig c = base;
+      c.nodes = n;
+      out.push_back(cluster::ClusterSim(c).run().summary());
+    }
+    return out;
+  };
+  const auto a = sweep();
+  const auto b = sweep();
   ASSERT_EQ(a.size(), 3u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].total_s, b[i].total_s);

@@ -1,11 +1,13 @@
 // Tests for the telemetry subsystem: the lock-free event rings under
 // the tracer, the metrics registry (log2 histograms, Prometheus/JSON
 // writers), Perfetto export with causal task flows, the block flight
-// recorder, and the bridges that keep the registry in lockstep with
-// PolicyEngine::Stats in both executors.
+// recorder, the hub both executors build their planes from, and the
+// bridges that keep the registry in lockstep with PolicyEngine::Stats
+// in both executors.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <random>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "sim/stencil_workload.hpp"
 #include "telemetry/bridge.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/hub.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/ring.hpp"
@@ -662,6 +665,78 @@ TEST(TelemetryFlight, KeepsLastNTransitionsOldestFirst) {
   std::ostringstream all;
   fr.dump(all);
   EXPECT_FALSE(all.str().empty());
+}
+
+// ------------------------------------------------------------------ hub
+
+TEST(TelemetryHub, AuditAddsOneLineForABadAttributionSum) {
+  ooc::PolicyEngine::Config ec;
+  ec.fast_capacity = 1 * MiB;
+  const ooc::PolicyEngine engine(ec);
+  telemetry::Hub::Options o;
+  o.attrib = true;
+  const telemetry::Hub hub(o);
+  telemetry::TaskAttribution a;
+  a.arrive = 0;
+  a.start = 0.5;
+  a.end = 1.0;
+  a.seconds[static_cast<int>(telemetry::Bucket::Compute)] = 0.5;
+  a.seconds[static_cast<int>(telemetry::Bucket::QueueWait)] = 0.5;
+  hub.attribution()->record(0, a);
+  EXPECT_TRUE(hub.audit(engine, 1.0, true).ok());
+
+  a.seconds[static_cast<int>(telemetry::Bucket::QueueWait)] = 0.1;
+  hub.attribution()->record(0, a);
+  const telemetry::AuditReport r = hub.audit(engine, 2.0, true);
+  ASSERT_EQ(r.violations.size(), 1u) << telemetry::format_audit(r);
+  EXPECT_NE(r.violations[0].find("attribution buckets fail to sum"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(r.time, 2.0);
+  EXPECT_TRUE(r.at_quiescence);
+}
+
+TEST(TelemetryHub, WithoutARegistryExportsNothing) {
+  ooc::PolicyEngine::Config ec;
+  ec.fast_capacity = 1 * MiB;
+  const ooc::PolicyEngine engine(ec);
+  const trace::Tracer tracer(false);
+  telemetry::Hub::Options o;
+  o.history_depth = 8;
+  o.attrib = true;
+  const telemetry::Hub bare(o);
+  EXPECT_EQ(bare.registry(), nullptr);
+  EXPECT_EQ(bare.histograms().fetch_ns, nullptr);
+  EXPECT_EQ(bare.histograms().run_q_depth, nullptr);
+  EXPECT_EQ(bare.history(), nullptr);
+  bare.on_quiescence(engine, tracer); // must not touch any registry
+
+  // The same options with a registry export every shared plane.
+  MetricsRegistry reg;
+  o.registry = &reg;
+  const telemetry::Hub hub(o);
+  hub.on_quiescence(engine, tracer);
+  const auto snap = reg.snapshot();
+  EXPECT_NE(snap.histogram("hmr_fetch_latency_ns"), nullptr);
+  EXPECT_NE(snap.counter("hmr_trace_events_dropped_total"), nullptr);
+  EXPECT_NE(snap.counter("hmr_attrib_tasks_total"), nullptr);
+  const auto* cap = snap.gauge("hmr_tier_capacity_bytes",
+                               telemetry::prom_label("level", "0"));
+  ASSERT_NE(cap, nullptr);
+  EXPECT_DOUBLE_EQ(cap->value, static_cast<double>(1 * MiB));
+  ASSERT_NE(hub.history(), nullptr);
+  EXPECT_EQ(hub.history()->total_samples(), 1u);
+}
+
+TEST(TelemetryHub, ReadsHmrAuditOnceAtConstruction) {
+  telemetry::Hub::Options o;
+  o.audit = 0;
+  ::setenv("HMR_AUDIT", "1", 1);
+  const telemetry::Hub hub(o);
+  EXPECT_TRUE(hub.audit_enabled()); // the environment beats the knob
+  ::setenv("HMR_AUDIT", "0", 1);
+  EXPECT_TRUE(hub.audit_enabled()); // ...but only at construction
+  EXPECT_FALSE(telemetry::Hub(o).audit_enabled());
+  ::unsetenv("HMR_AUDIT");
 }
 
 // ------------------------------------------------- executor integration

@@ -4,8 +4,10 @@
 // middle levels, promotion out of a middle level, advice-forced deep
 // demotion (kLevelFar), the no-cascade ablation switch, the sharded
 // engine's fill-then-overflow variant, the tracer's per-tier-pair
-// traffic accounting, and a three-tier end-to-end sim smoke.
+// traffic accounting, a three-tier end-to-end sim smoke, and the
+// remote-level advisor costing both executors' guidance applies.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -13,7 +15,9 @@
 
 #include "hw/machine_model.hpp"
 #include "ooc/policy_engine.hpp"
+#include "rt/runtime.hpp"
 #include "rt/sharded_engine.hpp"
+#include "sim/cluster.hpp"
 #include "sim/sim_executor.hpp"
 #include "sim/stencil_workload.hpp"
 #include "trace/tracer.hpp"
@@ -274,6 +278,38 @@ TEST(TierCascade, ThreeTierSimSmoke) {
   const auto sum = ex.tracer().summarize();
   EXPECT_GT(sum.migration_between(2, model.fast).bytes, 0u);
   EXPECT_GT(sum.migration_between(model.fast, 2).bytes, 0u);
+}
+
+TEST(TierCascade, RemoteLevelRaisesAdvisorCostsInBothExecutors) {
+  // A remote bottom level prices migrations at the network: both
+  // executors' adaptive advisors must see the raised constants.
+  auto model = hw::knl_flat_all_to_all();
+  const sim::NetworkModel net;
+  sim::add_remote_tier(model, net, 256 * MiB);
+  const adapt::AdvisorConfig local = adapt::AdvisorConfig::from_model(model);
+  const double per_byte = static_cast<double>(model.num_pes) /
+                          net.tier_params().bandwidth;
+
+  sim::SimConfig sc;
+  sc.model = model;
+  sc.adaptive = true;
+  const sim::SimExecutor ex(sc);
+
+  rt::Runtime::Config rc;
+  rc.model = model;
+  rc.mem_scale = 1.0 / 65536; // keep the tier arenas small
+  rc.num_pes = 2;
+  rc.adaptive = true;
+  const rt::Runtime runtime(rc);
+
+  for (const adapt::Guidance* g : {ex.guidance(), runtime.guidance()}) {
+    ASSERT_NE(g, nullptr);
+    const adapt::AdvisorConfig& c = g->advisor().config();
+    EXPECT_DOUBLE_EQ(c.fetch_seconds_per_byte_loaded,
+                     std::max(per_byte, local.fetch_seconds_per_byte_loaded));
+    EXPECT_DOUBLE_EQ(c.migration_fixed_seconds,
+                     local.migration_fixed_seconds + net.latency);
+  }
 }
 
 } // namespace
