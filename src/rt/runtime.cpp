@@ -262,6 +262,9 @@ void Runtime::free_block(mem::BlockId b) {
     engine_->remove_block(b);
   }
   mm_->unregister_block(b);
+  if (telemetry::BlockFlightRecorder* flight = hub_.flight_recorder()) {
+    flight->forget(b);
+  }
 }
 
 void Runtime::send(int pe, Body body) {
@@ -345,8 +348,9 @@ void Runtime::pe_loop(int pe) {
       });
       // Ready tasks (data resident) run before new messages are
       // intercepted, keeping the PE's pipeline full.  Draining a
-      // batch amortizes the queue lock and, on the serial engine, the
-      // engine lock over the whole batch.
+      // batch amortizes the queue lock over it; a message batch also
+      // shares one engine visit (one lock on the serial engine), while
+      // each ready task is post-processed as soon as its body returns.
       while (!w.run_q.empty() && tasks.size() < depth) {
         tasks.push_back(std::move(w.run_q.front()));
         w.run_q.pop_front();
@@ -487,13 +491,20 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
           window - fetch;
       attrib->record(static_cast<std::size_t>(pe), a);
     }
+    tasks_done_[static_cast<std::size_t>(pe)].v.fetch_add(
+        1, std::memory_order_relaxed);
+    // Post-processing step, right after the body: release its claims
+    // and hand its evictions to the IO threads now, so they copy while
+    // the next task of the batch computes.
+    std::vector<ooc::Command> cmds;
+    {
+      auto elk = lock_engine();
+      cmds = engine_->on_task_complete(task.id, pe);
+      observe_locked(cmds);
+    }
+    process(std::move(cmds), pe);
+    note_done(1);
   }
-  tasks_done_[static_cast<std::size_t>(pe)].v.fetch_add(
-      tasks.size(), std::memory_order_relaxed);
-  // Post-processing step: release claims, trigger evictions — one
-  // engine visit for the whole batch.
-  process(ev_completions(tasks, pe), pe);
-  note_done(tasks.size());
 }
 
 std::unique_lock<std::mutex> Runtime::lock_engine() {
@@ -513,17 +524,6 @@ std::vector<ooc::Command> Runtime::ev_arrivals(
     }
   }
   for (const auto& d : descs) append(cmds, engine_->on_task_arrived(d));
-  observe_locked(cmds);
-  return cmds;
-}
-
-std::vector<ooc::Command> Runtime::ev_completions(
-    const std::vector<ReadyTask>& tasks, int pe) {
-  std::vector<ooc::Command> cmds;
-  auto elk = lock_engine();
-  for (const auto& t : tasks) {
-    append(cmds, engine_->on_task_complete(t.id, pe));
-  }
   observe_locked(cmds);
   return cmds;
 }

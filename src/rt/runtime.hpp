@@ -88,10 +88,11 @@ public:
     /// through metrics().
     bool metrics = false;
     /// Block flight recorder depth: keep the last N residency
-    /// transitions per block for post-mortem debugging (0 disables).
-    /// Cheap — one striped-map update per migration — so it stays on
-    /// by default.  The HMR_FLIGHT_DEPTH environment variable
-    /// overrides this at construction (clamped to [0, 1024]).
+    /// transitions per live block for post-mortem debugging (0
+    /// disables).  Cheap — one striped-map update per migration, one
+    /// ring of N slots per live block, dropped by free_block() — so
+    /// it stays on by default.  The HMR_FLIGHT_DEPTH environment
+    /// variable overrides this at construction (clamped to [0, 1024]).
     std::size_t flight_depth = 8;
     /// Metrics history ring: keep the last N registry snapshots, one
     /// sampled at every wait_idle() quiescence tick, served via
@@ -115,9 +116,11 @@ public:
     adapt::ProfilerConfig profiler_cfg;
 
     /// Per-wakeup drain depth of the PE and IO loops: at most this
-    /// many ready tasks, messages or migrations per wakeup.  On the
-    /// serial engine, one engine-lock acquisition covers the batch's
-    /// events.
+    /// many ready tasks, messages or migrations per wakeup.  A batch
+    /// of arrivals or of finished migrations is one engine visit (one
+    /// engine-lock acquisition on the serial engine); ready tasks are
+    /// post-processed one by one, each right after its body, so its
+    /// evictions overlap the next task's compute.
     int io_batch = 16;
     /// Chunked cooperative migration: block copies of at least
     /// `chunk_threshold` bytes stream through the MemoryManager's
@@ -247,7 +250,8 @@ public:
   void* block_ptr(mem::BlockId b) { return mm_->block_ptr(b); }
 
   /// Release a block.  It must be idle: no outstanding task depends on
-  /// it and no migration is in flight (call at quiescence).
+  /// it and no migration is in flight (call at quiescence).  Its
+  /// flight-recorder history is dropped with it.
   void free_block(mem::BlockId b);
 
   // ---- messaging ----
@@ -425,9 +429,6 @@ private:
   /// Batch of arrival events, one engine visit each under one lock.
   std::vector<ooc::Command> ev_arrivals(
       const std::vector<ooc::TaskDesc>& descs);
-  /// Batch of completion events for tasks that ran on `pe`.
-  std::vector<ooc::Command> ev_completions(
-      const std::vector<ReadyTask>& tasks, int pe);
   /// Batch of fetch/evict completion events for finished migrations.
   std::vector<ooc::Command> ev_transfers(
       const std::vector<ooc::Command>& done);

@@ -26,11 +26,27 @@ void BlockFlightRecorder::record(ooc::BlockId b, const Transition& t) {
   std::lock_guard lk(st.mu);
   Ring& r = st.blocks[b];
   if (r.slots.size() < depth_) {
+    if (r.slots.empty()) r.slots.reserve(depth_); // the only allocation
     r.slots.push_back(t);
   } else {
     r.slots[r.n % depth_] = t;
   }
   ++r.n;
+}
+
+void BlockFlightRecorder::forget(ooc::BlockId b) {
+  Stripe& st = stripe(b);
+  std::lock_guard lk(st.mu);
+  st.blocks.erase(b);
+}
+
+std::size_t BlockFlightRecorder::tracked_blocks() const {
+  std::size_t n = 0;
+  for (const Stripe& st : stripes_) {
+    std::lock_guard lk(st.mu);
+    n += st.blocks.size();
+  }
+  return n;
 }
 
 std::vector<BlockFlightRecorder::Transition> BlockFlightRecorder::history(

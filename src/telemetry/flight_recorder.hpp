@@ -12,6 +12,10 @@
 // Writers are the executors' migration completion paths (rare relative
 // to task execution); a small striped-mutex map keeps them from
 // contending without the complexity of a lock-free multimap.
+//
+// Memory is bounded by the blocks that are live: a block's ring is
+// allocated once, at full depth, on its first transition, and
+// forget() drops it when the block is freed.
 
 #include <cstdint>
 #include <mutex>
@@ -48,12 +52,19 @@ public:
 
   void record(ooc::BlockId b, const Transition& t);
 
+  /// Drop the block's history (it was freed): afterwards history(b)
+  /// is empty and total_recorded(b) is 0.
+  void forget(ooc::BlockId b);
+
+  /// Blocks with a retained history.
+  std::size_t tracked_blocks() const;
+
   /// The block's retained transitions, oldest first; and how many were
   /// recorded in total (>= history().size() once the ring wrapped).
   std::vector<Transition> history(ooc::BlockId b) const;
   std::uint64_t total_recorded(ooc::BlockId b) const;
 
-  /// Text dump of one block / of every block seen (for post-mortems).
+  /// Text dump of one block / of every tracked block (post-mortems).
   void dump_block(std::ostream& os, ooc::BlockId b) const;
   void dump(std::ostream& os) const;
 

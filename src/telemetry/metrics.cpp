@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <unordered_map>
 
 #include "util/check.hpp"
 
@@ -37,17 +38,38 @@ void prom_escape_help(std::ostream& os, const std::string& s) {
   }
 }
 
-/// HELP/TYPE preamble, once per metric name (labeled series share it).
-void prometheus_preamble(std::ostream& os, const MetricDesc& d,
-                         const char* type, std::string& last_name) {
-  if (d.name == last_name) return;
-  last_name = d.name;
-  if (!d.help.empty()) {
-    os << "# HELP " << d.name << " ";
-    prom_escape_help(os, d.help);
-    os << "\n";
+/// Series grouped by metric name: one family per name, in order of the
+/// name's first appearance, each holding its series in registration
+/// order.  The registry may interleave names (node-wide series and
+/// their per-shard copies are registered apart), but the exposition
+/// format wants every family as one contiguous group.
+template <class Val>
+std::vector<std::vector<const Val*>> families(const std::vector<Val>& vals) {
+  std::vector<std::vector<const Val*>> out;
+  std::unordered_map<std::string_view, std::size_t> at;
+  for (const Val& v : vals) {
+    const auto [it, fresh] = at.try_emplace(v.desc.name, out.size());
+    if (fresh) out.emplace_back();
+    out[it->second].push_back(&v);
   }
-  os << "# TYPE " << d.name << " " << type << "\n";
+  return out;
+}
+
+/// HELP/TYPE preamble, once per family; HELP is the first non-empty
+/// help text among the family's series.
+template <class Val>
+void prometheus_preamble(std::ostream& os,
+                         const std::vector<const Val*>& family,
+                         const char* type) {
+  const std::string& name = family.front()->desc.name;
+  for (const Val* v : family) {
+    if (v->desc.help.empty()) continue;
+    os << "# HELP " << name << " ";
+    prom_escape_help(os, v->desc.help);
+    os << "\n";
+    break;
+  }
+  os << "# TYPE " << name << " " << type << "\n";
 }
 
 /// A raw newline inside a stored label string would break the
@@ -231,38 +253,44 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::write_prometheus(std::ostream& os,
                                        const MetricsSnapshot& s) {
-  std::string last;
-  for (const auto& c : s.counters) {
-    prometheus_preamble(os, c.desc, "counter", last);
-    os << full_name(c.desc) << " " << c.value << "\n";
-  }
-  for (const auto& g : s.gauges) {
-    prometheus_preamble(os, g.desc, "gauge", last);
-    os << full_name(g.desc) << " " << g.value << "\n";
-  }
-  for (const auto& h : s.histograms) {
-    prometheus_preamble(os, h.desc, "histogram", last);
-    const std::string sep = h.desc.labels.empty() ? "" : ",";
-    // Cumulative buckets; trailing empty buckets are elided (the +Inf
-    // line always carries the full count).
-    int top = Histogram::kBuckets - 1;
-    while (top > 0 && h.buckets[static_cast<std::size_t>(top)] == 0) {
-      --top;
+  for (const auto& family : families(s.counters)) {
+    prometheus_preamble(os, family, "counter");
+    for (const auto* c : family) {
+      os << full_name(c->desc) << " " << c->value << "\n";
     }
-    std::uint64_t cum = 0;
-    for (int i = 0; i <= top; ++i) {
-      cum += h.buckets[static_cast<std::size_t>(i)];
-      os << h.desc.name << "_bucket{" << h.desc.labels << sep << "le=\""
-         << Histogram::bucket_upper(i) << "\"} " << cum << "\n";
+  }
+  for (const auto& family : families(s.gauges)) {
+    prometheus_preamble(os, family, "gauge");
+    for (const auto* g : family) {
+      os << full_name(g->desc) << " " << g->value << "\n";
     }
-    os << h.desc.name << "_bucket{" << h.desc.labels << sep
-       << "le=\"+Inf\"} " << h.count << "\n";
-    os << h.desc.name << "_sum";
-    if (!h.desc.labels.empty()) os << "{" << h.desc.labels << "}";
-    os << " " << h.sum << "\n";
-    os << h.desc.name << "_count";
-    if (!h.desc.labels.empty()) os << "{" << h.desc.labels << "}";
-    os << " " << h.count << "\n";
+  }
+  for (const auto& family : families(s.histograms)) {
+    prometheus_preamble(os, family, "histogram");
+    for (const auto* h : family) {
+      const std::string sep = h->desc.labels.empty() ? "" : ",";
+      // Cumulative buckets; trailing empty buckets are elided (the
+      // +Inf line always carries the full count).
+      int top = Histogram::kBuckets - 1;
+      while (top > 0 && h->buckets[static_cast<std::size_t>(top)] == 0) {
+        --top;
+      }
+      std::uint64_t cum = 0;
+      for (int i = 0; i <= top; ++i) {
+        cum += h->buckets[static_cast<std::size_t>(i)];
+        os << h->desc.name << "_bucket{" << h->desc.labels << sep
+           << "le=\"" << Histogram::bucket_upper(i) << "\"} " << cum
+           << "\n";
+      }
+      os << h->desc.name << "_bucket{" << h->desc.labels << sep
+         << "le=\"+Inf\"} " << h->count << "\n";
+      os << h->desc.name << "_sum";
+      if (!h->desc.labels.empty()) os << "{" << h->desc.labels << "}";
+      os << " " << h->sum << "\n";
+      os << h->desc.name << "_count";
+      if (!h->desc.labels.empty()) os << "{" << h->desc.labels << "}";
+      os << " " << h->count << "\n";
+    }
   }
 }
 

@@ -316,6 +316,16 @@ TEST(RuntimeIntrospect, StatusEndpointsEndToEnd) {
   EXPECT_NE(blocks.find("\"fetch\":true"), std::string::npos);
   EXPECT_NE(http_get(rt.serve_port(), "/blocks").find("400"),
             std::string::npos);
+  // A freed block's history goes with it.
+  const mem::BlockId freed = rt.alloc_block(4096);
+  rt.send_prefetch(0, {{freed, ooc::AccessMode::ReadWrite}}, [] {});
+  rt.wait_idle();
+  const std::string path = "/blocks?id=" + std::to_string(freed);
+  EXPECT_NE(http_get(rt.serve_port(), path).find("\"fetch\":true"),
+            std::string::npos);
+  rt.free_block(freed);
+  EXPECT_NE(http_get(rt.serve_port(), path).find("\"transitions\":[]"),
+            std::string::npos);
   EXPECT_NE(http_get(rt.serve_port(), "/blocks?id=junk").find("400"),
             std::string::npos);
 

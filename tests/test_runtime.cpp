@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "rt/chare.hpp"
 #include "rt/io_handle.hpp"
@@ -230,6 +233,72 @@ TEST(Runtime, DestructorDrainsOutstandingWork) {
 
 namespace hmr::rt {
 namespace {
+
+// Post-processing is per task: each task's completion reaches the
+// engine before the next body of the same ready batch runs, so its
+// evictions can overlap that body.  The first body stalls so the rest
+// pile up in PE 0's run queue and drain as batches.
+class RuntimePostProcessing
+    : public ::testing::TestWithParam<ooc::Strategy> {};
+
+TEST_P(RuntimePostProcessing, EachBodySeesEveryEarlierCompletion) {
+  // MultiIo + eager eviction runs the sharded engine, SingleIo the
+  // serial one.
+  Runtime rt(small_config(GetParam()));
+  constexpr int kTasks = 24;
+  std::vector<std::unique_ptr<IoHandle<double>>> blocks;
+  std::vector<Runtime::PrefetchMsg> msgs;
+  std::vector<std::uint64_t> seen; // PE 0 only: no lock needed
+  for (int i = 0; i < kTasks; ++i) {
+    blocks.push_back(std::make_unique<IoHandle<double>>(rt, 512));
+    Runtime::PrefetchMsg m;
+    m.deps = {blocks.back()->dep(ooc::AccessMode::ReadWrite)};
+    m.body = [&rt, &seen, i] {
+      if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      seen.push_back(rt.policy_stats().tasks_run);
+    };
+    msgs.push_back(std::move(m));
+  }
+  rt.send_prefetch_batch(0, std::move(msgs));
+  rt.wait_idle();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kTasks));
+  for (std::size_t j = 0; j < seen.size(); ++j) {
+    EXPECT_EQ(seen[j], j) << "body " << j << " of PE 0";
+  }
+  EXPECT_EQ(rt.policy_stats().tasks_run, static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(rt.tasks_executed(), static_cast<std::uint64_t>(kTasks));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, RuntimePostProcessing,
+    ::testing::Values(ooc::Strategy::MultiIo, ooc::Strategy::SingleIo),
+    [](const ::testing::TestParamInfo<ooc::Strategy>& p) {
+      return p.param == ooc::Strategy::MultiIo ? "Sharded" : "Serial";
+    });
+
+TEST(Runtime, FlightRecorderTracksOnlyLiveBlocks) {
+  Runtime rt(small_config(ooc::Strategy::MultiIo));
+  const auto* flight = rt.flight_recorder();
+  ASSERT_NE(flight, nullptr);
+  constexpr int kLive = 3;
+  for (int round = 0; round < 10; ++round) {
+    std::vector<mem::BlockId> live;
+    for (int i = 0; i < kLive; ++i) {
+      live.push_back(rt.alloc_block(8 * KiB));
+      rt.send_prefetch(i % 2, {{live.back(), ooc::AccessMode::ReadWrite}},
+                       [] {});
+    }
+    rt.wait_idle(); // each block fetched, then evicted
+    EXPECT_EQ(flight->tracked_blocks(), static_cast<std::size_t>(kLive));
+    for (const mem::BlockId b : live) {
+      EXPECT_EQ(flight->total_recorded(b), 2u);
+      rt.free_block(b);
+      EXPECT_TRUE(flight->history(b).empty());
+      EXPECT_EQ(flight->total_recorded(b), 0u);
+    }
+    EXPECT_EQ(flight->tracked_blocks(), 0u);
+  }
+}
 
 TEST(Runtime, FreeBlockReleasesCapacity) {
   Runtime rt(small_config(ooc::Strategy::MultiIo));

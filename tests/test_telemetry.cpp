@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -371,6 +372,58 @@ TEST(TelemetryMetrics, PrometheusExposition) {
   EXPECT_TRUE(has_line(text, "hmr_lab_ns_count{shard=\"1\"} 1"));
 }
 
+TEST(TelemetryMetrics, PrometheusGroupsInterleavedFamilies) {
+  // Node-wide series and their per-shard copies are registered apart,
+  // so names interleave in registration order.  Each family must
+  // still come out as one contiguous group under one preamble.
+  MetricsRegistry reg;
+  reg.counter("hmr_a_total", "", "a help").add(1);
+  reg.counter("hmr_b_total").add(2);
+  reg.counter("hmr_a_total", "shard=\"0\"").add(3);
+  reg.counter("hmr_b_total", "shard=\"0\"", "b help").add(4);
+  reg.counter("hmr_a_total", "shard=\"1\"").add(5);
+  reg.gauge("hmr_g").set(1);
+  reg.gauge("hmr_h").set(2);
+  reg.gauge("hmr_g", "level=\"1\"").set(3);
+  reg.histogram("hmr_x_ns").observe(1);
+  reg.histogram("hmr_y_ns").observe(2);
+  reg.histogram("hmr_x_ns", "shard=\"0\"").observe(3);
+
+  std::ostringstream os;
+  MetricsRegistry::write_prometheus(os, reg.snapshot());
+  const std::string text = os.str();
+
+  // One # TYPE line per family, and every sample line of a family sits
+  // between its own # TYPE line and the next one.
+  std::map<std::string, int> types;
+  std::istringstream is(text);
+  std::string line, current;
+  std::vector<std::string> order;
+  while (std::getline(is, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      current = line.substr(7, line.find(' ', 7) - 7);
+      ++types[current];
+      order.push_back(current);
+      continue;
+    }
+    if (line.rfind("#", 0) == 0) continue;
+    EXPECT_EQ(line.rfind(current, 0), 0u)
+        << "sample outside its family: " << line;
+  }
+  for (const auto& [name, n] : types) {
+    EXPECT_EQ(n, 1) << name;
+  }
+  const std::vector<std::string> want = {"hmr_a_total", "hmr_b_total",
+                                         "hmr_g",       "hmr_h",
+                                         "hmr_x_ns",    "hmr_y_ns"};
+  EXPECT_EQ(order, want);
+  // HELP comes from the first series that has one, once per family.
+  EXPECT_EQ(count_of(text, "# HELP hmr_a_total a help\n"), 1u);
+  EXPECT_EQ(count_of(text, "# HELP hmr_b_total b help\n"), 1u);
+  EXPECT_TRUE(has_line(text, "hmr_a_total{shard=\"1\"} 5"));
+  EXPECT_TRUE(has_line(text, "hmr_x_ns_count{shard=\"0\"} 1"));
+}
+
 TEST(TelemetryMetrics, PromLabelEscapesValues) {
   EXPECT_EQ(telemetry::prom_label("app", "plain"), "app=\"plain\"");
   EXPECT_EQ(telemetry::prom_label("app", "a\"b\\c\nd"),
@@ -665,6 +718,29 @@ TEST(TelemetryFlight, KeepsLastNTransitionsOldestFirst) {
   std::ostringstream all;
   fr.dump(all);
   EXPECT_FALSE(all.str().empty());
+}
+
+TEST(TelemetryFlight, ForgetDropsABlocksHistory) {
+  telemetry::BlockFlightRecorder fr(/*depth=*/4);
+  telemetry::BlockFlightRecorder::Transition t;
+  t.bytes = 64;
+  for (int i = 0; i < 6; ++i) {
+    fr.record(1, t);
+    fr.record(2, t);
+  }
+  EXPECT_EQ(fr.tracked_blocks(), 2u);
+  fr.forget(1);
+  EXPECT_TRUE(fr.history(1).empty());
+  EXPECT_EQ(fr.total_recorded(1), 0u);
+  EXPECT_EQ(fr.tracked_blocks(), 1u);
+  EXPECT_EQ(fr.history(2).size(), 4u); // the other block is untouched
+  EXPECT_EQ(fr.total_recorded(2), 6u);
+  fr.forget(1); // forgetting an untracked block is a no-op
+  fr.forget(2);
+  EXPECT_EQ(fr.tracked_blocks(), 0u);
+  std::ostringstream os;
+  fr.dump(os);
+  EXPECT_TRUE(os.str().empty());
 }
 
 // ------------------------------------------------------------------ hub
