@@ -16,7 +16,6 @@
 #include "mem/chunked_copy.hpp"
 #include "mem/copy_kernel.hpp"
 #include "rt/ci_parser.hpp"
-#include "rt/load_balancer.hpp"
 #include "sim/sim_executor.hpp"
 #include "sim/stencil_workload.hpp"
 #include "telemetry/attrib.hpp"
@@ -299,19 +298,6 @@ void BM_CiParse(benchmark::State& state) {
                           static_cast<std::int64_t>(src.size()));
 }
 BENCHMARK(BM_CiParse);
-
-void BM_GreedyAssign(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Xoshiro256 rng(7);
-  std::vector<double> loads(n);
-  for (auto& l : loads) l = rng.uniform(0.5, 5.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmr::rt::greedy_assign(loads, 64));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_GreedyAssign)->Arg(256)->Arg(4096);
 
 void BM_TracerRecord(benchmark::State& state) {
   // The lock-free ring fast path (acceptance: <= ~50 ns/event).  The

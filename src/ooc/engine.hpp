@@ -11,8 +11,12 @@
 // this interface: rt::Runtime holds one Engine* (decorator, else
 // sharded, else serial) and sends every block registration, event,
 // quiescence check, stats read and audit through it; hmr::sim does
-// the same over the serial engine.  The serial and sharded paths
-// differ only in locking.
+// the same over the serial engine.  The two engines share one Config
+// and one set of protocol steps (ooc/protocol.hpp: tier resolution,
+// block states, arrival checks, the fair-share gate, the command
+// builders and their counters, the invariant audit) instead of
+// mirroring them; the serial and sharded paths differ only in how
+// they hold their state and lock it.
 //
 // The interface is deliberately the intersection, not the union:
 //   * on_task_complete carries the PE the task ran on.  The sharded

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ooc/protocol.hpp"
 #include "util/check.hpp"
 
 namespace hmr::ooc {
@@ -84,36 +85,35 @@ std::vector<TierDesc> tiers_from_model(const hw::MachineModel& m) {
   return out;
 }
 
-PolicyEngine::PolicyEngine(Config cfg)
-    : cfg_(std::move(cfg)), base_evict_by_worker_(cfg_.evict_by_worker) {
-  HMR_CHECK(cfg_.num_pes > 0);
-  HMR_CHECK(cfg_.lru_watermark > 0 && cfg_.lru_watermark <= 1.0);
-  if (cfg_.strategy == Strategy::SyncNoIo) cfg_.evict_by_worker = true;
-  if (cfg_.tiers.empty()) {
+void PolicyEngine::resolve_tiers(Config& cfg) {
+  HMR_CHECK(cfg.num_pes > 0);
+  HMR_CHECK(cfg.lru_watermark > 0 && cfg.lru_watermark <= 1.0);
+  if (cfg.tiers.empty()) {
     // Classic two-level hierarchy; ids follow the hw preset convention
     // (tier 1 = fast, tier 0 = slow).
-    TierDesc fast;
-    fast.id = 1;
-    fast.capacity = cfg_.fast_capacity;
-    fast.watermark = cfg_.lru_watermark;
-    TierDesc slow;
-    slow.id = 0;
-    tiers_ = {fast, slow};
-  } else {
-    tiers_ = cfg_.tiers;
-    HMR_CHECK_MSG(tiers_.size() >= 2, "placement hierarchy needs >= 2 levels");
-    for (const TierDesc& t : tiers_) {
-      HMR_CHECK_MSG(t.watermark > 0 && t.watermark <= 1.0,
-                    "tier watermark must be in (0,1]");
-    }
-    // The first level *is* the fast tier: keep the legacy knobs (and
-    // every fast_capacity / lru_watermark consumer) in sync with it.
-    cfg_.fast_capacity = tiers_.front().capacity;
-    cfg_.lru_watermark = tiers_.front().watermark;
+    cfg.tiers = {TierDesc{1, cfg.fast_capacity, cfg.lru_watermark},
+                 TierDesc{0}};
+    return;
   }
-  used_.resize(tiers_.size(), 0);
-  outbound_.resize(tiers_.size(), 0);
-  mid_lru_.resize(tiers_.size());
+  HMR_CHECK_MSG(cfg.tiers.size() >= 2,
+                "placement hierarchy needs >= 2 levels");
+  for (const TierDesc& t : cfg.tiers) {
+    HMR_CHECK_MSG(t.watermark > 0 && t.watermark <= 1.0,
+                  "tier watermark must be in (0,1]");
+  }
+  // The first level *is* the fast tier: keep the legacy knobs (and
+  // every fast_capacity / lru_watermark consumer) in sync with it.
+  cfg.fast_capacity = cfg.tiers.front().capacity;
+  cfg.lru_watermark = cfg.tiers.front().watermark;
+}
+
+PolicyEngine::PolicyEngine(Config cfg)
+    : cfg_(std::move(cfg)), base_evict_by_worker_(cfg_.evict_by_worker) {
+  resolve_tiers(cfg_);
+  if (cfg_.strategy == Strategy::SyncNoIo) cfg_.evict_by_worker = true;
+  used_.resize(cfg_.tiers.size(), 0);
+  outbound_.resize(cfg_.tiers.size(), 0);
+  mid_lru_.resize(cfg_.tiers.size());
   wait_q_.resize(static_cast<std::size_t>(cfg_.num_pes));
   pe_claims_.resize(static_cast<std::size_t>(cfg_.num_pes), 0);
 }
@@ -164,7 +164,7 @@ TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes) {
       // generalized from MCDRAM-then-DDR4 to the whole hierarchy).
       for (std::int32_t k = 0; k < bottom(); ++k) {
         const auto ku = static_cast<std::size_t>(k);
-        if (used_[ku] + bytes <= tiers_[ku].capacity) {
+        if (used_[ku] + bytes <= cfg_.tiers[ku].capacity) {
           level = k;
           break;
         }
@@ -186,7 +186,7 @@ TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes) {
   rec.level = level;
   used_[static_cast<std::size_t>(level)] += bytes;
   blocks_.emplace(b, rec);
-  return tiers_[static_cast<std::size_t>(level)].id;
+  return cfg_.tiers[static_cast<std::size_t>(level)].id;
 }
 
 TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes,
@@ -200,7 +200,7 @@ TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes,
   HMR_CHECK_MSG(bytes > 0, "zero-byte block");
   HMR_CHECK_MSG(blocks_.find(b) == blocks_.end(), "duplicate block id");
   const auto lvl = static_cast<std::size_t>(home_level);
-  HMR_CHECK_MSG(used_[lvl] + bytes <= tiers_[lvl].capacity,
+  HMR_CHECK_MSG(used_[lvl] + bytes <= cfg_.tiers[lvl].capacity,
                 "home_level placement overcommits the level");
   BlockRec rec;
   rec.bytes = bytes;
@@ -210,7 +210,7 @@ TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes,
   // Parked refcount-0 resident of a middle level: joins that level's
   // LRU so watermark trims and the demotion cascade can see it.
   mid_touch(b);
-  return tiers_[lvl].id;
+  return cfg_.tiers[lvl].id;
 }
 
 void PolicyEngine::remove_block(BlockId b) {
@@ -257,14 +257,11 @@ bool PolicyEngine::can_admit(const TaskRec& tr) const {
 }
 
 bool PolicyEngine::within_fair_share(const TaskRec& tr) const {
-  if (!cfg_.fair_admission) return true;
-  const auto pe = static_cast<std::size_t>(tr.desc.pe);
-  if (pe_claims_[pe] == 0) return true; // progress guarantee
+  const std::uint64_t held = pe_claims_[static_cast<std::size_t>(tr.desc.pe)];
+  // The claim scan only matters when the gate can bite.
+  if (!cfg_.fair_admission || held == 0) return true;
   bool admissible = true;
-  const std::uint64_t extra = admission_bytes(tr, &admissible);
-  const std::uint64_t share =
-      cfg_.fast_capacity / static_cast<std::uint64_t>(cfg_.num_pes);
-  return pe_claims_[pe] + extra <= share;
+  return ooc::within_fair_share(cfg_, held, admission_bytes(tr, &admissible));
 }
 
 void PolicyEngine::lru_touch(BlockId b) {
@@ -346,25 +343,10 @@ void PolicyEngine::admit(TaskId t, std::int32_t fetch_agent,
       HMR_CHECK_MSG(used_[0] <= cfg_.fast_capacity,
                     "admission overcommitted the fast tier");
       ++n_inflight_fetch_;
-      ++stats_.fetches;
-      stats_.fetch_bytes += br.bytes;
-      if (tiers_[static_cast<std::size_t>(src)].backend ==
-          TierBackendKind::Remote) {
-        ++stats_.remote_fetches;
-        stats_.remote_fetch_bytes += br.bytes;
-      }
       br.fetch_waiters.push_back(t);
       ++tr.missing;
-      Command c;
-      c.kind = Command::Kind::Fetch;
-      c.block = d.block;
-      c.task = t;
-      c.agent = fetch_agent;
-      c.pe = tr.desc.pe;
-      c.nocopy = cfg_.writeonly_nocopy && d.mode == AccessMode::WriteOnly;
-      c.src_tier = tiers_[static_cast<std::size_t>(src)].id;
-      c.dst_tier = tiers_[0].id;
-      cmds.push_back(c);
+      cmds.push_back(fetch_command(cfg_, d, br.bytes, src, t, fetch_agent,
+                                   tr.desc.pe, stats_));
     }
     // else: already resident on the top level — nothing to do.
   }
@@ -378,23 +360,24 @@ void PolicyEngine::mark_ready(TaskId t, std::vector<Command>& cmds) {
   TaskRec& tr = task(t);
   HMR_DCHECK(tr.state == TaskState::Admitted);
   tr.state = TaskState::Ready;
-  Command c;
-  c.kind = Command::Kind::Run;
-  c.task = t;
-  c.pe = tr.desc.pe;
-  cmds.push_back(c);
+  cmds.push_back(run_command(t, tr.desc.pe));
 }
 
-std::uint64_t PolicyEngine::reclaim_lru(std::uint64_t need,
-                                        std::int32_t agent, std::int32_t pe,
+std::uint64_t PolicyEngine::reclaim_lru(TaskId head, std::int32_t agent,
+                                        std::int32_t pe,
                                         std::vector<Command>& cmds) {
+  if (!lru_enabled()) return 0;
+  bool adm = true;
+  const std::uint64_t extra = admission_bytes(task(head), &adm);
+  if (!adm || used_[0] + extra <= cfg_.fast_capacity) return 0;
+  const std::uint64_t need = used_[0] + extra - cfg_.fast_capacity;
+  evict_cause_ = head; // reclaiming on behalf of the head
   std::uint64_t freed = 0;
   // Victim priority: demote-advised blocks first, then plain LRU order
   // (coldest first), then pinned blocks as a progress guarantee — a
   // pin is a preference, not a reservation.  Without an advisor every
-  // block falls in the middle pass, preserving pure LRU behaviour.
-  // Without an advisor every block scores the middle pass — run only
-  // that one, preserving pure LRU behaviour.
+  // block scores the middle pass — run only that one, preserving pure
+  // LRU behaviour.
   const int first_pass = cfg_.advisor != nullptr ? 0 : 1;
   const int last_pass = cfg_.advisor != nullptr ? 2 : 1;
   for (int pass = first_pass; pass <= last_pass && freed < need; ++pass) {
@@ -411,6 +394,7 @@ std::uint64_t PolicyEngine::reclaim_lru(std::uint64_t need,
       evict_block(victim, agent, pe, cmds);
     }
   }
+  evict_cause_ = kInvalidTask;
   return freed;
 }
 
@@ -435,7 +419,7 @@ std::int32_t PolicyEngine::demote_target(std::int32_t src,
   if (advised >= 0) start = std::max(start, std::min(advised, bot));
   for (std::int32_t k = start; k < bot; ++k) {
     const auto ku = static_cast<std::size_t>(k);
-    if (used_[ku] + bytes <= tiers_[ku].capacity) return k;
+    if (used_[ku] + bytes <= cfg_.tiers[ku].capacity) return k;
   }
   return bot; // unbounded: the cascade can always make progress
 }
@@ -453,24 +437,8 @@ void PolicyEngine::demote_block(BlockId b, std::int32_t dst,
   used_[static_cast<std::size_t>(dst)] += br.bytes;
   outbound_[static_cast<std::size_t>(src)] += br.bytes;
   ++n_inflight_evict_;
-  ++stats_.evicts;
-  stats_.evict_bytes += br.bytes;
-  if (src > 0) ++stats_.tier_trims;
-  if (dst < bottom()) ++stats_.cascade_demotions;
-  if (tiers_[static_cast<std::size_t>(dst)].backend ==
-      TierBackendKind::Remote) {
-    ++stats_.remote_evicts;
-    stats_.remote_evict_bytes += br.bytes;
-  }
-  Command c;
-  c.kind = Command::Kind::Evict;
-  c.block = b;
-  c.task = evict_cause_; // telemetry: the task that triggered this
-  c.agent = agent;
-  c.pe = pe;
-  c.src_tier = tiers_[static_cast<std::size_t>(src)].id;
-  c.dst_tier = tiers_[static_cast<std::size_t>(dst)].id;
-  cmds.push_back(c);
+  cmds.push_back(evict_command(cfg_, b, br.bytes, src, dst, evict_cause_,
+                               agent, pe, stats_));
   // A demotion into a middle level may push it over its watermark:
   // trim it right away so the onward traffic overlaps this migration.
   if (dst < bottom()) cascade_from(dst, agent, pe, cmds);
@@ -481,7 +449,7 @@ void PolicyEngine::cascade_from(std::int32_t k, std::int32_t agent,
   if (k <= 0 || k >= bottom()) return;
   const auto ku = static_cast<std::size_t>(k);
   const auto limit = static_cast<std::uint64_t>(
-      tiers_[ku].watermark * static_cast<double>(tiers_[ku].capacity));
+      cfg_.tiers[ku].watermark * static_cast<double>(cfg_.tiers[ku].capacity));
   while (used_[ku] - outbound_[ku] > limit) {
     // Coldest refcount-0 resident; bypass-claimed blocks (refcount
     // held while a task reads them in place) stay parked.
@@ -530,29 +498,24 @@ void PolicyEngine::io_step_single(std::vector<Command>& cmds) {
         --n_waiting_;
         admit(t, /*fetch_agent=*/0, cmds);
         progressed = true;
-      } else if (lru_enabled()) {
-        bool adm = true;
-        const std::uint64_t extra = admission_bytes(head, &adm);
-        if (adm && used_[0] + extra > cfg_.fast_capacity) {
-          const std::uint64_t deficit =
-              used_[0] + extra - cfg_.fast_capacity;
-          evict_cause_ = q.front(); // reclaiming on behalf of the head
-          if (reclaim_lru(deficit, 0, static_cast<std::int32_t>(pe), cmds) > 0) {
-            progressed = true;
-          }
-          evict_cause_ = kInvalidTask;
-        }
+      } else if (reclaim_lru(q.front(), 0, static_cast<std::int32_t>(pe),
+                             cmds) > 0) {
+        progressed = true;
       }
     }
     rr_cursor_ = (rr_cursor_ + 1) % cfg_.num_pes;
   }
 }
 
-void PolicyEngine::io_step_multi(std::int32_t agent,
-                                 std::vector<Command>& cmds) {
-  // One IO thread per PE, draining its own queue until HBM is full
-  // (paper §IV-B "Multiple queues, Multiple IO threads").
-  auto& q = wait_q_[static_cast<std::size_t>(agent)];
+void PolicyEngine::io_step_pe(std::int32_t pe, std::vector<Command>& cmds) {
+  // MultiIo: the PE's own IO thread drains its queue until HBM is full
+  // (paper §IV-B "Multiple queues, Multiple IO threads").  SyncNoIo:
+  // no IO thread, the worker itself fetches synchronously — Fetch
+  // commands carry agent=kWorkerInline and pe = the task's home PE so
+  // executors charge the stall to the right lane.
+  const std::int32_t agent =
+      cfg_.strategy == Strategy::SyncNoIo ? kWorkerInline : pe;
+  auto& q = wait_q_[static_cast<std::size_t>(pe)];
   while (!q.empty()) {
     TaskRec& head = task(q.front());
     if (can_admit(head) && within_fair_share(head)) {
@@ -562,62 +525,29 @@ void PolicyEngine::io_step_multi(std::int32_t agent,
       admit(t, agent, cmds);
       continue;
     }
-    if (lru_enabled()) {
-      bool adm = true;
-      const std::uint64_t extra = admission_bytes(head, &adm);
-      if (adm && used_[0] + extra > cfg_.fast_capacity) {
-        const std::uint64_t deficit =
-            used_[0] + extra - cfg_.fast_capacity;
-        evict_cause_ = q.front(); // reclaiming on behalf of the head
-        reclaim_lru(deficit, agent, agent, cmds);
-        evict_cause_ = kInvalidTask;
-      }
-    }
+    reclaim_lru(q.front(), agent, pe, cmds);
     break; // FIFO: the head blocks the queue
   }
 }
 
-void PolicyEngine::io_step_sync(std::int32_t pe, std::vector<Command>& cmds) {
-  // No IO thread: the worker itself fetches synchronously.  Fetch
-  // commands carry agent=kWorkerInline and pe = the task's home PE so
-  // executors charge the stall to the right lane.
-  auto& q = wait_q_[static_cast<std::size_t>(pe)];
-  while (!q.empty()) {
-    TaskRec& head = task(q.front());
-    if (can_admit(head) && within_fair_share(head)) {
-      const TaskId t = q.front();
-      q.pop_front();
-      --n_waiting_;
-      admit(t, kWorkerInline, cmds);
-      continue;
+void PolicyEngine::wake_queues(std::int32_t pe, std::vector<Command>& cmds) {
+  if (cfg_.strategy == Strategy::SingleIo) {
+    io_step_single(cmds);
+  } else if (pe >= 0) {
+    io_step_pe(pe, cmds);
+  } else {
+    for (std::int32_t p = 0; p < cfg_.num_pes; ++p) {
+      if (!wait_q_[static_cast<std::size_t>(p)].empty()) io_step_pe(p, cmds);
     }
-    if (lru_enabled()) {
-      bool adm = true;
-      const std::uint64_t extra = admission_bytes(head, &adm);
-      if (adm && used_[0] + extra > cfg_.fast_capacity) {
-        const std::uint64_t deficit =
-            used_[0] + extra - cfg_.fast_capacity;
-        evict_cause_ = q.front(); // reclaiming on behalf of the head
-        reclaim_lru(deficit, kWorkerInline, pe, cmds);
-        evict_cause_ = kInvalidTask;
-      }
-    }
-    break;
   }
 }
 
 std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
-  HMR_CHECK_MSG(desc.id != kInvalidTask, "task needs a valid id");
-  HMR_CHECK_MSG(desc.pe >= 0 && desc.pe < cfg_.num_pes,
-                "task pe out of range");
+  check_arrival(desc, cfg_.num_pes);
   HMR_CHECK_MSG(tasks_.find(desc.id) == tasks_.end(), "duplicate task id");
-  for (std::size_t i = 0; i < desc.deps.size(); ++i) {
-    HMR_CHECK_MSG(blocks_.find(desc.deps[i].block) != blocks_.end(),
+  for (const Dep& d : desc.deps) {
+    HMR_CHECK_MSG(blocks_.find(d.block) != blocks_.end(),
                   "task depends on an unregistered block");
-    for (std::size_t j = i + 1; j < desc.deps.size(); ++j) {
-      HMR_CHECK_MSG(desc.deps[i].block != desc.deps[j].block,
-                    "duplicate dependence on one block");
-    }
   }
 
   std::vector<Command> cmds;
@@ -632,11 +562,7 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
     // the converse scheduler delivers the message directly.
     tr.state = TaskState::Ready;
     ++n_live_tasks_;
-    Command c;
-    c.kind = Command::Kind::Run;
-    c.task = desc.id;
-    c.pe = desc.pe;
-    cmds.push_back(c);
+    cmds.push_back(run_command(desc.id, desc.pe));
     return cmds;
   }
 
@@ -664,7 +590,7 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
         // PE's wait queue" and wakes that PE's IO thread.
         wait_q_[static_cast<std::size_t>(desc.pe)].push_back(desc.id);
         ++n_waiting_;
-        io_step_multi(desc.pe, cmds);
+        io_step_pe(desc.pe, cmds);
       }
       break;
     }
@@ -675,7 +601,7 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
       } else {
         q.push_back(desc.id);
         ++n_waiting_;
-        if (lru_enabled()) io_step_sync(desc.pe, cmds);
+        if (lru_enabled()) io_step_pe(desc.pe, cmds);
       }
       break;
     }
@@ -723,37 +649,22 @@ std::vector<Command> PolicyEngine::on_evict_complete(BlockId b) {
   // Freed capacity can unblock any PE's queue head — and a block that
   // just landed on a middle level is promotable again, so every
   // landing (bottom or middle) retries the queues.
+  // (Static strategies never evict.)
   std::vector<Command> cmds;
-  switch (cfg_.strategy) {
-    case Strategy::SingleIo:
-      io_step_single(cmds);
-      break;
-    case Strategy::MultiIo:
-      for (std::int32_t a = 0; a < cfg_.num_pes; ++a) {
-        if (!wait_q_[static_cast<std::size_t>(a)].empty()) {
-          io_step_multi(a, cmds);
-        }
-      }
-      break;
-    case Strategy::SyncNoIo:
-      for (std::int32_t pe = 0; pe < cfg_.num_pes; ++pe) {
-        if (!wait_q_[static_cast<std::size_t>(pe)].empty()) {
-          io_step_sync(pe, cmds);
-        }
-      }
-      break;
-    default:
-      break; // static strategies never evict
-  }
+  wake_queues(-1, cmds);
   check_progress();
   return cmds;
 }
 
 std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
-  TaskRec& tr = task(t);
+  auto it = tasks_.find(t);
+  HMR_CHECK_MSG(it != tasks_.end(), "unknown task id");
+  // The record leaves the table now; `node` keeps it alive for the
+  // post-processing below.
+  auto node = tasks_.extract(it);
+  TaskRec& tr = node.mapped();
   HMR_CHECK_MSG(tr.state == TaskState::Ready,
                 "completion for a task that was never made runnable");
-  tr.state = TaskState::Done;
   HMR_DCHECK(n_live_tasks_ > 0);
   --n_live_tasks_;
   ++stats_.tasks_run;
@@ -761,7 +672,6 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
     auto& pc = pe_claims_[static_cast<std::size_t>(tr.desc.pe)];
     HMR_DCHECK(pc >= tr.claim_bytes);
     pc -= tr.claim_bytes;
-    tr.claim_bytes = 0;
   }
 
   std::vector<Command> cmds;
@@ -772,10 +682,7 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
   // Post-processing: release claims; blocks that drop to refcount 0
   // are evicted (eager, paper behaviour) or parked warm (lazy).
   evict_cause_ = t; // evictions below are triggered by this completion
-  const std::int32_t evict_agent =
-      cfg_.evict_by_worker
-          ? kWorkerInline
-          : (cfg_.strategy == Strategy::SingleIo ? 0 : tr.desc.pe);
+  const std::int32_t agent = evict_agent(cfg_, tr.desc.pe);
   bool parked = false;
   for (const Dep& d : tr.desc.deps) {
     BlockRec& br = block(d.block);
@@ -798,60 +705,30 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
         parked = true;
         ++stats_.advised_pins;
       } else {
-        evict_block(d.block, evict_agent, tr.desc.pe, cmds);
+        evict_block(d.block, agent, tr.desc.pe, cmds);
       }
     }
   }
-  tr.bypassed.clear();
   if (lru_enabled() && cfg_.lru_watermark < 1.0) {
     const auto limit = static_cast<std::uint64_t>(
         cfg_.lru_watermark * static_cast<double>(cfg_.fast_capacity));
-    flush_lru_over(limit, evict_agent, tr.desc.pe,
+    flush_lru_over(limit, agent, tr.desc.pe,
                    /*evict_pinned=*/false, cmds);
   }
   evict_cause_ = kInvalidTask;
 
   // "It then wakes up the IO thread ... so that more data can be
   // prefetched" — some queued task may now be admissible (shared
-  // blocks became resident, or lazy reclaim can run).
-  switch (cfg_.strategy) {
-    case Strategy::SingleIo:
-      io_step_single(cmds);
-      break;
-    case Strategy::MultiIo:
-      if (cfg_.eager_evict && !parked) {
-        // Eager with nothing parked: freed budget arrives via
-        // on_evict_complete, which retries every queue; waking only
-        // our own is enough.  (An advisor alone must not force the
-        // broad scan below — it dominated the adaptive overhead.)
-        io_step_multi(tr.desc.pe, cmds);
-      } else {
-        // Lazy mode, or a pin just parked a block: this completion
-        // may be the only future event (released blocks parked in the
-        // LRU, claims released, no eviction pending), so every queue
-        // whose head needs an LRU reclaim or claim headroom must get
-        // its chance now or the node wedges.
-        for (std::int32_t a = 0; a < cfg_.num_pes; ++a) {
-          if (!wait_q_[static_cast<std::size_t>(a)].empty()) {
-            io_step_multi(a, cmds);
-          }
-        }
-      }
-      break;
-    case Strategy::SyncNoIo:
-      if (cfg_.eager_evict && !parked) {
-        io_step_sync(tr.desc.pe, cmds);
-      } else {
-        for (std::int32_t pe = 0; pe < cfg_.num_pes; ++pe) {
-          if (!wait_q_[static_cast<std::size_t>(pe)].empty()) {
-            io_step_sync(pe, cmds);
-          }
-        }
-      }
-      break;
-    default:
-      break;
-  }
+  // blocks became resident, or lazy reclaim can run).  Eager with
+  // nothing parked: freed budget arrives via on_evict_complete, which
+  // retries every queue, so waking our own is enough.  (An advisor
+  // alone must not force the broad scan — it dominated the adaptive
+  // overhead.)  Lazy mode, or a pin just parked a block: this
+  // completion may be the only future event (released blocks parked
+  // in the LRU, claims released, no eviction pending), so every queue
+  // whose head needs an LRU reclaim or claim headroom must get its
+  // chance now or the node wedges.
+  wake_queues(cfg_.eager_evict && !parked ? tr.desc.pe : -1, cmds);
   check_progress();
   return cmds;
 }
@@ -892,7 +769,7 @@ void PolicyEngine::set_fair_admission(bool fair) {
 std::vector<Command> PolicyEngine::set_lru_watermark(double frac) {
   HMR_CHECK_MSG(frac > 0 && frac <= 1.0, "lru watermark must be in (0,1]");
   cfg_.lru_watermark = frac;
-  tiers_.front().watermark = frac;
+  cfg_.tiers.front().watermark = frac;
   std::vector<Command> cmds;
   if (!lru_enabled() || frac >= 1.0) return cmds;
   const auto limit = static_cast<std::uint64_t>(
@@ -911,7 +788,8 @@ std::size_t PolicyEngine::waiting_tasks(std::int32_t pe) const {
 std::size_t PolicyEngine::total_waiting() const { return n_waiting_; }
 
 BlockState PolicyEngine::block_state(BlockId b) const {
-  return state_of(block(b));
+  const BlockRec& br = block(b);
+  return state_of(br.level, br.from_level);
 }
 
 std::uint32_t PolicyEngine::refcount(BlockId b) const {
@@ -928,7 +806,7 @@ void PolicyEngine::debug_dump(std::FILE* out) const {
   std::uint64_t resident0_bytes = 0;
   std::size_t by_state[4] = {0, 0, 0, 0};
   for (const auto& [id, br] : blocks_) {
-    const BlockState st = state_of(br);
+    const BlockState st = state_of(br.level, br.from_level);
     ++by_state[static_cast<int>(st)];
     if (st == BlockState::InFast && br.refcount == 0) {
       ++resident0;
@@ -979,42 +857,41 @@ void PolicyEngine::check_progress() const {
 
 std::vector<std::string> PolicyEngine::audit_invariants(
     bool at_quiescence) const {
-  std::vector<std::string> v;
+  ProtocolSnapshot s;
+  s.num_levels = num_levels();
+  s.used = used_;
+  s.outbound = outbound_;
+  s.pe_claims = pe_claims_;
+  s.n_waiting = n_waiting_;
+  s.n_live = n_live_tasks_;
+  s.n_inflight_fetch = n_inflight_fetch_;
+  s.n_inflight_evict = n_inflight_evict_;
+  s.quiescent = quiescent();
+  for (const auto& q : wait_q_) s.wait_queues.push_back(&q);
+  s.blocks.reserve(blocks_.size());
+  for (const auto& [id, br] : blocks_) {
+    s.blocks.push_back({id, br.bytes, br.level, br.from_level, br.refcount,
+                        br.slow_claims, br.fetch_waiters});
+  }
+  // Only admitted prefetch tasks under a movement strategy claimed
+  // their deps; non-annotated tasks and the static baselines run
+  // without touching refcounts.
+  const bool moves = strategy_moves_data(cfg_.strategy);
+  s.tasks.reserve(tasks_.size());
+  for (const auto& [id, tr] : tasks_) {
+    s.tasks.push_back({id, tr.desc.pe, tr.state == TaskState::Waiting,
+                       tr.desc.prefetch && moves, tr.missing, tr.claim_bytes,
+                       &tr.desc.deps, &tr.bypassed});
+  }
+  std::vector<std::string> v = audit_protocol(s, at_quiescence);
   const auto fail = [&v](std::string msg) { v.push_back(std::move(msg)); };
-  const std::size_t levels = tiers_.size();
 
-  // Ground truth recomputed from the block records.  A migrating block
-  // holds budget on both ends: its bytes were claimed on the
-  // destination at schedule time and are released from the source only
-  // when the copy lands (mirrors when numa_free returns the bytes).
-  std::vector<std::uint64_t> want_used(levels, 0);
-  std::vector<std::uint64_t> want_outbound(levels, 0);
+  // This engine's own structures: the level-0 parking LRU, the
+  // middle-level cold lists, and level 0's hard capacity.
   std::uint64_t want_lru_bytes = 0;
   std::size_t want_lru_count = 0, want_mid_count = 0;
-  std::size_t want_fetch = 0, want_evict = 0;
-  std::unordered_map<BlockId, std::uint32_t> want_ref;
-  std::unordered_map<BlockId, std::uint32_t> want_slow;
-
   for (const auto& [id, br] : blocks_) {
     const std::string tag = "block " + std::to_string(id) + ": ";
-    if (br.level < 0 || br.level >= static_cast<std::int32_t>(levels) ||
-        br.from_level < -1 ||
-        br.from_level >= static_cast<std::int32_t>(levels) ||
-        br.from_level == br.level) {
-      fail(tag + "bad level pair " + std::to_string(br.level) + " <- " +
-           std::to_string(br.from_level));
-      continue;
-    }
-    want_used[static_cast<std::size_t>(br.level)] += br.bytes;
-    if (br.from_level >= 0) {
-      want_used[static_cast<std::size_t>(br.from_level)] += br.bytes;
-      want_outbound[static_cast<std::size_t>(br.from_level)] += br.bytes;
-      if (br.level == 0) {
-        ++want_fetch;
-      } else {
-        ++want_evict;
-      }
-    }
     if (br.in_lru) {
       if (br.level != 0 || br.from_level >= 0) {
         fail(tag + "parked in the level-0 LRU but not resident there");
@@ -1027,97 +904,6 @@ std::vector<std::string> PolicyEngine::audit_invariants(
         fail(tag + "on a mid-level cold list but not a middle resident");
       }
       ++want_mid_count;
-    }
-    if (!br.fetch_waiters.empty() &&
-        state_of(br) != BlockState::FetchInFlight) {
-      fail(tag + "has fetch waiters but no fetch in flight");
-    }
-    if (at_quiescence) {
-      if (br.refcount != 0) {
-        fail(tag + "refcount " + std::to_string(br.refcount) +
-             " at quiescence (no task can be holding it)");
-      }
-      if (br.slow_claims != 0) fail(tag + "slow claims at quiescence");
-      if (br.from_level >= 0) fail(tag + "still migrating at quiescence");
-      if (!br.fetch_waiters.empty()) {
-        fail(tag + "waiter list not empty at quiescence");
-      }
-    }
-  }
-
-  // Ground truth from the task records: live (admitted / ready) tasks
-  // hold one refcount per dependence, one waiter entry per missing
-  // dep, one slow claim per bypassed dep, and their fresh claim bytes
-  // make up the per-PE fair-share ledger.
-  std::vector<std::uint64_t> want_claims(pe_claims_.size(), 0);
-  std::size_t want_live = 0;
-  for (const auto& [id, tr] : tasks_) {
-    if (tr.state != TaskState::Admitted && tr.state != TaskState::Ready) {
-      continue;
-    }
-    ++want_live;
-    want_claims[static_cast<std::size_t>(tr.desc.pe)] += tr.claim_bytes;
-    // Only admitted prefetch tasks under a movement strategy claimed
-    // their deps; non-annotated tasks and the static baselines run
-    // without touching refcounts.
-    if (!tr.desc.prefetch || !strategy_moves_data(cfg_.strategy)) {
-      continue;
-    }
-    for (const Dep& d : tr.desc.deps) ++want_ref[d.block];
-    for (const BlockId b : tr.bypassed) ++want_slow[b];
-  }
-  for (const auto& [id, br] : blocks_) {
-    for (const TaskId t : br.fetch_waiters) {
-      auto it = tasks_.find(t);
-      if (it == tasks_.end() ||
-          it->second.state != TaskState::Admitted) {
-        fail("block " + std::to_string(id) +
-             ": waiter task " + std::to_string(t) + " is not admitted");
-      }
-    }
-    const auto ref = want_ref.find(id);
-    const std::uint32_t wr = ref == want_ref.end() ? 0 : ref->second;
-    if (br.refcount != wr) {
-      fail("block " + std::to_string(id) + ": refcount " +
-           std::to_string(br.refcount) + " but live tasks reference it " +
-           std::to_string(wr) + "x");
-    }
-    const auto slow = want_slow.find(id);
-    const std::uint32_t ws = slow == want_slow.end() ? 0 : slow->second;
-    if (br.slow_claims != ws) {
-      fail("block " + std::to_string(id) + ": slow_claims " +
-           std::to_string(br.slow_claims) + " != " + std::to_string(ws) +
-           " bypassed live deps");
-    }
-  }
-  for (const auto& [id, tr] : tasks_) {
-    if (tr.state != TaskState::Admitted) continue;
-    std::uint32_t waits = 0;
-    for (const Dep& d : tr.desc.deps) {
-      const auto it = blocks_.find(d.block);
-      if (it == blocks_.end()) continue;
-      for (const TaskId t : it->second.fetch_waiters) {
-        if (t == id) ++waits;
-      }
-    }
-    if (tr.missing != waits) {
-      fail("task " + std::to_string(id) + ": missing " +
-           std::to_string(tr.missing) + " != " + std::to_string(waits) +
-           " waiter entries");
-    }
-  }
-
-  // Counters and ledgers vs the recomputation.
-  for (std::size_t k = 0; k < levels; ++k) {
-    if (used_[k] != want_used[k]) {
-      fail("level " + std::to_string(k) + ": used " +
-           std::to_string(used_[k]) + " != " + std::to_string(want_used[k]) +
-           " summed over block records");
-    }
-    if (outbound_[k] != want_outbound[k]) {
-      fail("level " + std::to_string(k) + ": outbound " +
-           std::to_string(outbound_[k]) + " != " +
-           std::to_string(want_outbound[k]));
     }
   }
   if (used_[0] > cfg_.fast_capacity) {
@@ -1135,42 +921,6 @@ std::vector<std::string> PolicyEngine::audit_invariants(
   if (mid_entries != want_mid_count) {
     fail("mid-level cold lists hold " + std::to_string(mid_entries) +
          " entries, block flags say " + std::to_string(want_mid_count));
-  }
-  std::size_t queued = 0;
-  for (std::size_t pe = 0; pe < wait_q_.size(); ++pe) {
-    for (const TaskId t : wait_q_[pe]) {
-      ++queued;
-      const auto it = tasks_.find(t);
-      if (it == tasks_.end() || it->second.state != TaskState::Waiting) {
-        fail("queued task " + std::to_string(t) + " on pe " +
-             std::to_string(pe) + " is not in Waiting state");
-      }
-    }
-  }
-  if (queued != n_waiting_) {
-    fail("n_waiting " + std::to_string(n_waiting_) + " != " +
-         std::to_string(queued) + " queued tasks");
-  }
-  if (want_live != n_live_tasks_) {
-    fail("n_live_tasks " + std::to_string(n_live_tasks_) + " != " +
-         std::to_string(want_live) + " admitted/ready records");
-  }
-  if (want_fetch != n_inflight_fetch_ || want_evict != n_inflight_evict_) {
-    fail("in-flight counters fetch=" + std::to_string(n_inflight_fetch_) +
-         "/evict=" + std::to_string(n_inflight_evict_) +
-         " != block records fetch=" + std::to_string(want_fetch) +
-         "/evict=" + std::to_string(want_evict));
-  }
-  for (std::size_t pe = 0; pe < pe_claims_.size(); ++pe) {
-    if (pe_claims_[pe] != want_claims[pe]) {
-      fail("pe " + std::to_string(pe) + ": claim ledger " +
-           std::to_string(pe_claims_[pe]) + " != " +
-           std::to_string(want_claims[pe]) + " over live tasks");
-    }
-  }
-  if (at_quiescence) {
-    if (!quiescent()) fail("quiescent() false at claimed quiescence");
-    if (queued != 0) fail("wait queues not empty at quiescence");
   }
   return v;
 }

@@ -40,6 +40,10 @@
 //    EvictInFlight — capacity is released only when an eviction has
 //    finished, mirroring when numa_free actually returns the bytes.
 //
+// The protocol steps this engine shares with rt::ShardedEngine (the
+// command builders and their counters, arrival checks, the fair-share
+// gate, the invariant audit) live in ooc/protocol.hpp.
+//
 // Thread safety: none.  Callers serialize (the rt executor wraps every
 // call in one mutex; the DES is single-threaded).
 
@@ -110,6 +114,15 @@ public:
 
   explicit PolicyEngine(Config cfg);
 
+  /// Resolve `cfg.tiers` in place: an empty hierarchy becomes the
+  /// classic {fast_capacity / lru_watermark, unbounded slow} pair;
+  /// an explicit one is validated and fast_capacity / lru_watermark
+  /// are taken from its first level.  Both engines construct from a
+  /// resolved Config.
+  static void resolve_tiers(Config& cfg);
+
+  /// The Config as resolved at construction (tiers filled in) and
+  /// retuned by the online setters.
   const Config& config() const { return cfg_; }
 
   // ---- block registry ----
@@ -188,9 +201,9 @@ public:
   std::uint64_t fast_capacity() const { return cfg_.fast_capacity; }
 
   /// The placement hierarchy (levels, fastest first).
-  const std::vector<TierDesc>& tiers() const override { return tiers_; }
+  const std::vector<TierDesc>& tiers() const override { return cfg_.tiers; }
   std::int32_t num_levels() const {
-    return static_cast<std::int32_t>(tiers_.size());
+    return static_cast<std::int32_t>(cfg_.tiers.size());
   }
   /// Hierarchy level the block occupies (for an in-flight block, the
   /// migration destination).
@@ -199,7 +212,7 @@ public:
   }
   /// Tier id of block_level(b) — what executors key arenas/channels by.
   TierId block_tier(BlockId b) const {
-    return tiers_[static_cast<std::size_t>(block(b).level)].id;
+    return cfg_.tiers[static_cast<std::size_t>(block(b).level)].id;
   }
   /// Bytes resident on (or in flight to) a hierarchy level.
   std::uint64_t tier_used(std::int32_t level) const override {
@@ -225,20 +238,18 @@ public:
   void debug_dump(std::FILE* out) const;
 
   /// Cross-check the incremental bookkeeping against ground truth
-  /// recomputed from the block/task records: per-level used_/outbound_
-  /// bytes (a migrating block is counted on both its source and
-  /// destination level until it lands), LRU membership and byte
-  /// counts, waiting/live/in-flight counters, per-PE claims, block
-  /// refcounts vs live-task dependence lists, waiter-list sanity.
-  /// Returns one human-readable line per violation (empty = clean).
-  /// `at_quiescence` adds the idle-only invariants: nothing queued, in
-  /// flight, referenced or claimed.  O(blocks + tasks); callers
-  /// serialize like every other entry point.
+  /// recomputed from the block/task records: the shared protocol
+  /// audit (ooc/protocol.hpp) over used_/outbound_ and every counter,
+  /// plus this engine's own LRU and mid-level lists and the level-0
+  /// capacity.  Returns one human-readable line per violation (empty
+  /// = clean).  O(blocks + live tasks); callers serialize like every
+  /// other entry point.
   std::vector<std::string> audit_invariants(
       bool at_quiescence) const override;
 
 private:
-  enum class TaskState : std::uint8_t { Waiting, Admitted, Ready, Done };
+  /// A completed task's record is erased, so there is no Done state.
+  enum class TaskState : std::uint8_t { Waiting, Admitted, Ready };
 
   struct BlockRec {
     std::uint64_t bytes = 0;
@@ -273,17 +284,8 @@ private:
   const BlockRec& block(BlockId b) const;
   TaskRec& task(TaskId t);
 
-  /// The old four-state view of a block, derived from level/from_level.
-  static BlockState state_of(const BlockRec& br) {
-    if (br.from_level >= 0) {
-      return br.level == 0 ? BlockState::FetchInFlight
-                           : BlockState::EvictInFlight;
-    }
-    return br.level == 0 ? BlockState::InFast : BlockState::InSlow;
-  }
-
   std::int32_t bottom() const {
-    return static_cast<std::int32_t>(tiers_.size()) - 1;
+    return static_cast<std::int32_t>(cfg_.tiers.size()) - 1;
   }
 
   /// Advice for `b`, or all-defaults when no advisor is installed.
@@ -321,15 +323,21 @@ private:
   void mark_ready(TaskId t, std::vector<Command>& cmds);
 
   /// Drain admissible tasks.  SingleIo: round-robin one task per PE
-  /// queue per pass over all queues.  MultiIo: drain agent's own queue.
-  /// SyncNoIo: drain `pe`'s queue with inline fetches.
+  /// queue per pass over all queues.  MultiIo: drain `pe`'s queue on
+  /// its IO agent.  SyncNoIo: drain `pe`'s queue with inline fetches.
   void io_step_single(std::vector<Command>& cmds);
-  void io_step_multi(std::int32_t agent, std::vector<Command>& cmds);
-  void io_step_sync(std::int32_t pe, std::vector<Command>& cmds);
+  void io_step_pe(std::int32_t pe, std::vector<Command>& cmds);
 
-  /// Lazy mode: schedule evictions of LRU refcount-0 blocks until
-  /// `need` bytes will become free.  Returns bytes scheduled.
-  std::uint64_t reclaim_lru(std::uint64_t need, std::int32_t agent,
+  /// Retry the wait queues after an event freed capacity or changed
+  /// residency: SingleIo's round-robin pass, else `pe`'s queue (pe >=
+  /// 0) or every non-empty one.
+  void wake_queues(std::int32_t pe, std::vector<Command>& cmds);
+
+  /// LRU reclaim on behalf of queue head `head` when only fast-tier
+  /// space stands in its way: schedule evictions of parked
+  /// refcount-0 blocks until its deficit will be free.  Returns bytes
+  /// scheduled (0 when the LRU is off or space is not the obstacle).
+  std::uint64_t reclaim_lru(TaskId head, std::int32_t agent,
                             std::int32_t pe, std::vector<Command>& cmds);
 
   /// Evict a refcount-0 level-0 block: picks the demotion destination
@@ -366,10 +374,9 @@ private:
   /// reclaimable means the head task can never be admitted.
   void check_progress() const;
 
-  Config cfg_;
+  Config cfg_; // resolved: cfg_.tiers is the hierarchy (>= 2 levels)
   bool base_evict_by_worker_ = false; // Config value before strategy
                                       // overrides (restored on switch)
-  std::vector<TierDesc> tiers_; // resolved hierarchy (>= 2 levels)
   std::unordered_map<BlockId, BlockRec> blocks_;
   std::unordered_map<TaskId, TaskRec> tasks_;
   std::vector<std::deque<TaskId>> wait_q_;

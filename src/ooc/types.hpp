@@ -187,6 +187,28 @@ struct EngineStats {
   std::uint64_t remote_fetch_bytes = 0; // bytes pulled over the network
   std::uint64_t remote_evicts = 0;      // demotions landing on a Remote level
   std::uint64_t remote_evict_bytes = 0; // bytes spilled over the network
+
+  /// Field-wise sum (the sharded engine totals its shards with it).
+  EngineStats& operator+=(const EngineStats& o) {
+    tasks_run += o.tasks_run;
+    fetches += o.fetches;
+    fetch_bytes += o.fetch_bytes;
+    evicts += o.evicts;
+    evict_bytes += o.evict_bytes;
+    fetch_dedup_hits += o.fetch_dedup_hits;
+    lru_reclaims += o.lru_reclaims;
+    advised_pins += o.advised_pins;
+    advised_bypasses += o.advised_bypasses;
+    advised_demotions += o.advised_demotions;
+    cascade_demotions += o.cascade_demotions;
+    tier_trims += o.tier_trims;
+    remote_fetches += o.remote_fetches;
+    remote_fetch_bytes += o.remote_fetch_bytes;
+    remote_evicts += o.remote_evicts;
+    remote_evict_bytes += o.remote_evict_bytes;
+    return *this;
+  }
+  bool operator==(const EngineStats&) const = default;
 };
 
 /// Logical block residency, the paper's INHBM / INDDR states plus the

@@ -57,26 +57,19 @@ std::vector<ooc::TierDesc> resolve_tiers(const Runtime::Config& cfg,
   return tiers;
 }
 
+/// The one engine Config, whichever engine runs it (the advisor slot
+/// is filled by the constructor for adaptive runs).
 ooc::PolicyEngine::Config engine_config(const Runtime::Config& cfg,
                                         const mem::MemoryManager& mm) {
   ooc::PolicyEngine::Config ec;
   ec.strategy = cfg.strategy;
   ec.num_pes = cfg.num_pes;
   ec.tiers = resolve_tiers(cfg, mm);
-  ec.fast_capacity = ec.tiers.front().capacity;
   ec.eager_evict = cfg.eager_evict;
   ec.evict_by_worker = cfg.evict_by_worker;
   ec.writeonly_nocopy = cfg.writeonly_nocopy;
   ec.demote_cascade = cfg.demote_cascade;
   return ec;
-}
-
-/// The ShardedEngine covers exactly the MultiIo + eager-eviction hot
-/// path; everything global (SingleIo round-robin, SyncNoIo, the lazy
-/// LRU, the adaptive advisor) stays on the serial engine.
-bool sharded_eligible(const Runtime::Config& cfg) {
-  return cfg.strategy == ooc::Strategy::MultiIo && cfg.eager_evict &&
-         !cfg.adaptive;
 }
 
 void append(std::vector<ooc::Command>& out, std::vector<ooc::Command> cmds) {
@@ -144,31 +137,25 @@ Runtime::Runtime(Config cfg)
   // blocks move back and forth as pointer swaps (docs/PERF.md §4).
   mm_->set_zero_copy(true);
   mm_->set_shadow_audit(hub_.audit_enabled());
-  const bool sharded = sharded_eligible(cfg_);
+  ooc::PolicyEngine::Config ec = engine_config(cfg_, *mm_);
+  if (cfg_.adaptive) {
+    guidance_ = std::make_unique<adapt::Guidance>(
+        cfg_.model, ec.tiers, cfg_.profiler_cfg, cfg_.strategy,
+        cfg_.eager_evict, cfg_.num_pes, hub_.decisions());
+    ec.advisor = &guidance_->advisor(); // an advisor keeps it serial
+  }
+  const bool sharded = ShardedEngine::covers(ec);
   if (cfg_.lock_stats) {
     // One slot per engine shard; the serial engine's mutex is slot 0.
     lock_stats_ = std::make_unique<trace::ContentionStats>(
         static_cast<std::size_t>(sharded ? cfg_.num_pes : 1));
   }
   if (sharded) {
-    ShardedEngine::Config sc;
-    sc.num_pes = cfg_.num_pes;
-    sc.tiers = resolve_tiers(cfg_, *mm_);
-    sc.fast_capacity = sc.tiers.front().capacity;
-    sc.writeonly_nocopy = cfg_.writeonly_nocopy;
-    sc.evict_by_worker = cfg_.evict_by_worker;
-    sc.demote_cascade = cfg_.demote_cascade;
-    sharded_ = std::make_unique<ShardedEngine>(sc, lock_stats_.get());
+    sharded_ = std::make_unique<ShardedEngine>(ec, lock_stats_.get());
     engine_ = sharded_.get();
   } else {
-    serial_ = std::make_unique<ooc::PolicyEngine>(engine_config(cfg_, *mm_));
+    serial_ = std::make_unique<ooc::PolicyEngine>(ec);
     engine_ = serial_.get();
-  }
-  if (cfg_.adaptive) {
-    guidance_ = std::make_unique<adapt::Guidance>(
-        cfg_.model, serial_->tiers(), cfg_.profiler_cfg, cfg_.strategy,
-        cfg_.eager_evict, cfg_.num_pes, hub_.decisions());
-    serial_->set_advisor(&guidance_->advisor()); // before any thread starts
   }
   if (cfg_.serve.enabled()) {
     HMR_CHECK_MSG(!cfg_.adaptive,

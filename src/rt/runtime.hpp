@@ -26,8 +26,11 @@
 // serialize.  Every other configuration (SingleIo, SyncNoIo, lazy
 // eviction, adaptive) drives the serial ooc::PolicyEngine under one
 // mutex, held across each batch of events a PE or IO thread drains.
-// Registered tenants wrap either engine in a serve::TenantEngine.  The
-// paths differ only in locking; hmr::sim always uses the serial engine.
+// Both engines take the one engine Config the constructor builds and
+// share their protocol steps (ooc/protocol.hpp); ShardedEngine::covers
+// picks between them.  Registered tenants wrap either engine in a
+// serve::TenantEngine.  The paths differ only in locking; hmr::sim
+// always uses the serial engine.
 //
 // Shared with hmr::sim: adaptive runs drive one adapt::Guidance (the
 // runtime measures each phase's wait fraction from the tracer and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ooc/protocol.hpp"
 #include "util/check.hpp"
 
 namespace hmr::rt {
@@ -15,19 +16,13 @@ ShardedEngine::ShardedEngine(Config cfg, trace::ContentionStats* lock_stats)
       shards_(static_cast<std::size_t>(cfg_.num_pes)),
       pe_claims_(static_cast<std::size_t>(cfg_.num_pes)),
       chunks_(kMaxChunks) {
-  HMR_CHECK(cfg_.num_pes > 0);
-  if (cfg_.tiers.empty()) {
-    tiers_ = {ooc::TierDesc{1, cfg_.fast_capacity, 1.0},
-              ooc::TierDesc{0, 0, 1.0}};
-  } else {
-    tiers_ = cfg_.tiers;
-    HMR_CHECK_MSG(tiers_.size() >= 2, "placement hierarchy needs >= 2 levels");
-    cfg_.fast_capacity = tiers_.front().capacity;
-  }
-  budgets_.resize(tiers_.size());
-  for (std::size_t k = 0; k + 1 < tiers_.size(); ++k) {
-    budgets_[k] =
-        std::make_unique<ooc::TierBudget>(tiers_[k].capacity, cfg_.num_pes);
+  ooc::PolicyEngine::resolve_tiers(cfg_);
+  HMR_CHECK_MSG(covers(cfg_), "the sharded engine covers MultiIo with eager "
+                              "eviction, no advisor and no LRU watermark");
+  budgets_.resize(cfg_.tiers.size());
+  for (std::size_t k = 0; k + 1 < cfg_.tiers.size(); ++k) {
+    budgets_[k] = std::make_unique<ooc::TierBudget>(cfg_.tiers[k].capacity,
+                                                    cfg_.num_pes);
   }
   for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
 }
@@ -38,13 +33,21 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
+ShardedEngine::BlockRec* ShardedEngine::find_block(ooc::BlockId b) const {
+  // Bounded by the chunk table, not n_blocks_: the hot path must not
+  // read the counter every registration writes.
+  const std::size_t ci = static_cast<std::size_t>(b) >> kChunkShift;
+  if (ci >= kMaxChunks) return nullptr;
+  BlockRec* chunk = chunks_[ci].load(std::memory_order_acquire);
+  if (chunk == nullptr) return nullptr;
+  return &chunk[static_cast<std::size_t>(b) & (kChunkSize - 1)];
+}
+
 ShardedEngine::BlockRec& ShardedEngine::block(ooc::BlockId b) const {
   HMR_DCHECK(b < n_blocks_.load(std::memory_order_acquire));
-  BlockRec* chunk =
-      chunks_[static_cast<std::size_t>(b) >> kChunkShift].load(
-          std::memory_order_acquire);
-  HMR_CHECK_MSG(chunk != nullptr, "unknown block id");
-  return chunk[static_cast<std::size_t>(b) & (kChunkSize - 1)];
+  BlockRec* rec = find_block(b);
+  HMR_CHECK_MSG(rec != nullptr, "unknown block id");
+  return *rec;
 }
 
 ooc::TierId ShardedEngine::add_block(ooc::BlockId b, std::uint64_t bytes) {
@@ -70,13 +73,14 @@ ooc::TierId ShardedEngine::add_block(ooc::BlockId b, std::uint64_t bytes) {
     rec.live = true;
     rec.waiters.clear();
   }
+  registered_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   std::uint64_t n = n_blocks_.load(std::memory_order_relaxed);
   while (n <= b &&
          !n_blocks_.compare_exchange_weak(n, b + 1,
                                           std::memory_order_release,
                                           std::memory_order_relaxed)) {
   }
-  return tiers_.back().id;
+  return cfg_.tiers.back().id;
 }
 
 void ShardedEngine::remove_block(ooc::BlockId b) {
@@ -91,6 +95,7 @@ void ShardedEngine::remove_block(ooc::BlockId b) {
                                                            rec.bytes);
   }
   rec.live = false;
+  registered_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
 }
 
 // Locks the stripes of a task's dependences in ascending stripe order
@@ -128,7 +133,10 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
   // Pass 1: the all-or-nothing admission decision.
   std::uint64_t extra = 0;
   for (const auto& d : tr.desc.deps) {
-    const BlockRec& br = block(d.block);
+    const BlockRec* rec = find_block(d.block);
+    HMR_CHECK_MSG(rec != nullptr && rec->live,
+                  "task depends on an unregistered block");
+    const BlockRec& br = *rec;
     if (br.from_level >= 0) {
       // A demotion must land before the block can be re-fetched; an
       // inbound promotion is already claimed in the level-0 budget.
@@ -142,13 +150,9 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
     // bytes, no queue, no fairness gate.
     if (extra != 0) return false;
   } else {
-    if (cfg_.fair_admission) {
-      const auto& pc = pe_claims_[static_cast<std::size_t>(pe)];
-      const std::uint64_t held = pc.bytes.load(std::memory_order_relaxed);
-      const std::uint64_t share =
-          cfg_.fast_capacity / static_cast<std::uint64_t>(cfg_.num_pes);
-      if (held != 0 && held + extra > share) return false;
-    }
+    const std::uint64_t held = pe_claims_[static_cast<std::size_t>(pe)]
+                                   .bytes.load(std::memory_order_relaxed);
+    if (!ooc::within_fair_share(cfg_, held, extra)) return false;
     if (extra > 0 && !budgets_[0]->try_claim(pe, extra)) {
       HMR_CHECK_MSG(extra <= cfg_.fast_capacity,
                     "scheduling wedge: a waiting task's dependences exceed "
@@ -183,24 +187,9 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
       br.waiters.push_back(&tr);
       ++missing;
       n_inflight_fetch_.fetch_add(1, std::memory_order_acq_rel);
-      ++sh.stats.fetches;
-      sh.stats.fetch_bytes += br.bytes;
-      if (tiers_[static_cast<std::size_t>(src)].backend ==
-          ooc::TierBackendKind::Remote) {
-        ++sh.stats.remote_fetches;
-        sh.stats.remote_fetch_bytes += br.bytes;
-      }
-      Command c;
-      c.kind = Command::Kind::Fetch;
-      c.block = d.block;
-      c.task = tr.desc.id;
-      c.agent = pe; // MultiIo: the PE's own IO thread
-      c.pe = pe;
-      c.nocopy =
-          cfg_.writeonly_nocopy && d.mode == ooc::AccessMode::WriteOnly;
-      c.src_tier = tiers_[static_cast<std::size_t>(src)].id;
-      c.dst_tier = tiers_[0].id;
-      cmds.push_back(c);
+      // MultiIo: the PE's own IO thread fetches.
+      cmds.push_back(ooc::fetch_command(cfg_, d, br.bytes, src, tr.desc.id,
+                                        pe, pe, sh.stats));
     }
     // else: already resident on the top level — nothing to plan.
   }
@@ -211,13 +200,7 @@ bool ShardedEngine::try_admit(Shard& sh, TaskRec& tr, bool only_if_free,
   // Store while the stripes are held: any fetch completion that could
   // decrement this counter serializes behind the stripe locks above.
   tr.missing.store(missing, std::memory_order_release);
-  if (missing == 0) {
-    Command c;
-    c.kind = Command::Kind::Run;
-    c.task = tr.desc.id;
-    c.pe = pe;
-    cmds.push_back(c);
-  }
+  if (missing == 0) cmds.push_back(ooc::run_command(tr.desc.id, pe));
   return true;
 }
 
@@ -241,15 +224,7 @@ void ShardedEngine::drain_shard(std::size_t s, std::vector<Command>& cmds) {
 
 std::vector<Command> ShardedEngine::on_task_arrived(
     const ooc::TaskDesc& desc) {
-  HMR_CHECK_MSG(desc.id != ooc::kInvalidTask, "task needs a valid id");
-  HMR_CHECK_MSG(desc.pe >= 0 && desc.pe < cfg_.num_pes,
-                "task pe out of range");
-  for (std::size_t i = 0; i < desc.deps.size(); ++i) {
-    for (std::size_t j = i + 1; j < desc.deps.size(); ++j) {
-      HMR_CHECK_MSG(desc.deps[i].block != desc.deps[j].block,
-                    "duplicate dependence on one block");
-    }
-  }
+  ooc::check_arrival(desc, cfg_.num_pes);
 
   events_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Command> cmds;
@@ -268,11 +243,7 @@ std::vector<Command> ShardedEngine::on_task_arrived(
   if (!desc.prefetch) {
     // Non-annotated entry method: deliver directly.
     n_live_.fetch_add(1, std::memory_order_acq_rel);
-    Command c;
-    c.kind = Command::Kind::Run;
-    c.task = desc.id;
-    c.pe = desc.pe;
-    cmds.push_back(c);
+    cmds.push_back(ooc::run_command(desc.id, desc.pe));
     return cmds;
   }
 
@@ -317,11 +288,7 @@ std::vector<Command> ShardedEngine::on_fetch_complete(ooc::BlockId b) {
   }
   n_inflight_fetch_.fetch_sub(1, std::memory_order_acq_rel);
   for (TaskRec* w : ready) {
-    Command c;
-    c.kind = Command::Kind::Run;
-    c.task = w->desc.id;
-    c.pe = w->desc.pe;
-    cmds.push_back(c);
+    cmds.push_back(ooc::run_command(w->desc.id, w->desc.pe));
   }
   return cmds;
 }
@@ -381,8 +348,7 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
   // Post-processing: release claims; blocks that drop to refcount 0
   // are eagerly evicted (paper behaviour).  Non-annotated entry
   // methods never claimed their deps, so there is nothing to release.
-  const std::int32_t evict_agent =
-      cfg_.evict_by_worker ? ooc::kWorkerInline : pe;
+  const std::int32_t agent = ooc::evict_agent(cfg_, pe);
   const auto deps_held =
       tr->desc.prefetch ? tr->desc.deps : std::vector<ooc::Dep>{};
   for (const auto& d : deps_held) {
@@ -409,23 +375,8 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
       br.src_claim_shard = br.claim_shard; // level-0 claim, freed on landing
       br.claim_shard = pe;                 // dst claim (bounded dst only)
       n_inflight_evict_.fetch_add(1, std::memory_order_acq_rel);
-      ++sh.stats.evicts;
-      sh.stats.evict_bytes += br.bytes;
-      if (dst < bottom()) ++sh.stats.cascade_demotions;
-      if (tiers_[static_cast<std::size_t>(dst)].backend ==
-          ooc::TierBackendKind::Remote) {
-        ++sh.stats.remote_evicts;
-        sh.stats.remote_evict_bytes += br.bytes;
-      }
-      Command c;
-      c.kind = Command::Kind::Evict;
-      c.block = d.block;
-      c.task = t; // telemetry: the completion that triggered this
-      c.agent = evict_agent;
-      c.pe = pe;
-      c.src_tier = tiers_[0].id;
-      c.dst_tier = tiers_[static_cast<std::size_t>(dst)].id;
-      cmds.push_back(c);
+      cmds.push_back(ooc::evict_command(cfg_, d.block, br.bytes, 0, dst, t,
+                                        agent, pe, sh.stats));
     }
   }
   n_live_.fetch_sub(1, std::memory_order_acq_rel);
@@ -437,27 +388,13 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
   return cmds;
 }
 
-ooc::PolicyEngine::Stats ShardedEngine::stats() const {
-  ooc::PolicyEngine::Stats out;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto& sh = const_cast<Shard&>(shards_[s]);
-    std::lock_guard lk(sh.mu);
-    out.tasks_run += sh.stats.tasks_run;
-    out.fetches += sh.stats.fetches;
-    out.fetch_bytes += sh.stats.fetch_bytes;
-    out.evicts += sh.stats.evicts;
-    out.evict_bytes += sh.stats.evict_bytes;
-    out.fetch_dedup_hits += sh.stats.fetch_dedup_hits;
-    out.cascade_demotions += sh.stats.cascade_demotions;
-    out.remote_fetches += sh.stats.remote_fetches;
-    out.remote_fetch_bytes += sh.stats.remote_fetch_bytes;
-    out.remote_evicts += sh.stats.remote_evicts;
-    out.remote_evict_bytes += sh.stats.remote_evict_bytes;
-  }
+ooc::EngineStats ShardedEngine::stats() const {
+  ooc::EngineStats out;
+  for (std::int32_t s = 0; s < num_shards(); ++s) out += shard_stats(s);
   return out;
 }
 
-ooc::PolicyEngine::Stats ShardedEngine::shard_stats(std::int32_t s) const {
+ooc::EngineStats ShardedEngine::shard_stats(std::int32_t s) const {
   HMR_CHECK(s >= 0 && static_cast<std::size_t>(s) < shards_.size());
   auto& sh = const_cast<Shard&>(shards_[static_cast<std::size_t>(s)]);
   std::lock_guard lk(sh.mu);
@@ -471,9 +408,22 @@ bool ShardedEngine::quiescent() const {
          n_inflight_evict_.load(std::memory_order_acquire) == 0;
 }
 
+std::uint64_t ShardedEngine::tier_used(std::int32_t level) const {
+  if (level < bottom()) {
+    return budgets_[static_cast<std::size_t>(level)]->used();
+  }
+  std::uint64_t bounded = 0;
+  for (std::int32_t k = 0; k < bottom(); ++k) {
+    bounded += budgets_[static_cast<std::size_t>(k)]->used();
+  }
+  const std::uint64_t all = registered_bytes_.load(std::memory_order_relaxed);
+  return all > bounded ? all - bounded : 0;
+}
+
 ooc::BlockState ShardedEngine::block_state(ooc::BlockId b) const {
   std::lock_guard slk(stripe(b).mu);
-  return state_of(block(b));
+  const BlockRec& br = block(b);
+  return ooc::state_of(br.level, br.from_level);
 }
 
 std::int32_t ShardedEngine::block_level(ooc::BlockId b) const {
@@ -488,12 +438,10 @@ std::uint32_t ShardedEngine::refcount(ooc::BlockId b) const {
 
 std::vector<std::string> ShardedEngine::audit_invariants(
     bool at_quiescence) const {
-  std::vector<std::string> v;
-  const auto fail = [&v](std::string msg) { v.push_back(std::move(msg)); };
   auto* self = const_cast<ShardedEngine*>(this);
 
   // Lock the world in the canonical order (shard mutexes, then the
-  // registry, then every stripe ascending) so the cross-check sees one
+  // registry, then every stripe ascending) so the snapshot is one
   // consistent cut.  Event paths take shard -> stripes or registry ->
   // stripe, never the reverse.
   std::vector<std::unique_lock<std::mutex>> locks;
@@ -502,142 +450,45 @@ std::vector<std::string> ShardedEngine::audit_invariants(
   locks.emplace_back(self->registry_mu_);
   for (auto& st : self->stripes_) locks.emplace_back(st.mu);
 
-  const std::size_t levels = tiers_.size();
-  std::vector<std::uint64_t> want_used(levels, 0);
-  std::size_t want_fetch = 0, want_evict = 0;
-
-  // Task-side ground truth: queued ids per shard, and per-PE claims /
-  // per-block refcounts held by admitted prefetch tasks.
-  std::unordered_map<const TaskRec*, std::uint32_t> want_waits;
-  std::unordered_map<ooc::BlockId, std::uint32_t> want_ref;
-  std::vector<std::uint64_t> want_claims(pe_claims_.size(), 0);
-  std::size_t queued = 0, records = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = shards_[s];
+  ooc::ProtocolSnapshot s;
+  s.num_levels = num_levels();
+  for (const Shard& sh : shards_) {
+    s.wait_queues.push_back(&sh.wait_q);
     std::unordered_map<ooc::TaskId, std::size_t> in_q;
-    for (const ooc::TaskId t : sh.wait_q) {
-      ++queued;
-      ++in_q[t];
-      if (sh.tasks.find(t) == sh.tasks.end()) {
-        fail("shard " + std::to_string(s) + ": queued task " +
-             std::to_string(t) + " has no record");
-      }
-    }
-    records += sh.tasks.size();
+    for (const ooc::TaskId t : sh.wait_q) ++in_q[t];
     for (const auto& [id, tr] : sh.tasks) {
-      if (in_q.count(id)) continue; // waiting: holds nothing yet
-      want_claims[static_cast<std::size_t>(tr->desc.pe)] += tr->claim_bytes;
-      if (tr->missing.load(std::memory_order_relaxed) > 0) {
-        want_waits.emplace(tr.get(), 0);
-      }
-      if (!tr->desc.prefetch) continue;
-      for (const auto& d : tr->desc.deps) ++want_ref[d.block];
+      s.tasks.push_back({id, tr->desc.pe, in_q.count(id) > 0,
+                         tr->desc.prefetch,
+                         tr->missing.load(std::memory_order_relaxed),
+                         tr->claim_bytes, &tr->desc.deps, nullptr});
     }
   }
-
   const std::uint64_t n = n_blocks_.load(std::memory_order_acquire);
   for (std::uint64_t b = 0; b < n; ++b) {
-    BlockRec* chunk =
-        chunks_[static_cast<std::size_t>(b) >> kChunkShift].load(
-            std::memory_order_acquire);
-    if (chunk == nullptr) continue;
-    const BlockRec& br =
-        chunk[static_cast<std::size_t>(b) & (kChunkSize - 1)];
-    if (!br.live) continue;
-    const std::string tag = "block " + std::to_string(b) + ": ";
-    if (br.level < 0 || br.level >= static_cast<std::int32_t>(levels) ||
-        br.from_level < -1 ||
-        br.from_level >= static_cast<std::int32_t>(levels) ||
-        br.from_level == br.level) {
-      fail(tag + "bad level pair " + std::to_string(br.level) + " <- " +
-           std::to_string(br.from_level));
-      continue;
-    }
-    want_used[static_cast<std::size_t>(br.level)] += br.bytes;
-    if (br.from_level >= 0) {
-      want_used[static_cast<std::size_t>(br.from_level)] += br.bytes;
-      if (br.level == 0) {
-        ++want_fetch;
-      } else {
-        ++want_evict;
-      }
-    }
-    if (!br.waiters.empty() &&
-        state_of(br) != ooc::BlockState::FetchInFlight) {
-      fail(tag + "has fetch waiters but no fetch in flight");
-    }
-    for (const TaskRec* w : br.waiters) {
-      auto it = want_waits.find(w);
-      if (it == want_waits.end()) {
-        fail(tag + "waiter is not an admitted task with missing deps");
-      } else {
-        ++it->second;
-      }
-    }
-    const auto ref = want_ref.find(b);
-    const std::uint32_t wr = ref == want_ref.end() ? 0 : ref->second;
-    if (br.refcount != wr) {
-      fail(tag + "refcount " + std::to_string(br.refcount) +
-           " but admitted tasks reference it " + std::to_string(wr) + "x");
-    }
-    if (at_quiescence) {
-      if (br.refcount != 0) fail(tag + "refcount held at quiescence");
-      if (br.from_level >= 0) fail(tag + "still migrating at quiescence");
-      if (!br.waiters.empty()) fail(tag + "waiters at quiescence");
-    }
+    const BlockRec* rec = find_block(b);
+    if (rec == nullptr || !rec->live) continue;
+    const BlockRec& br = *rec;
+    ooc::ProtocolSnapshot::Block sb{b, br.bytes, br.level, br.from_level,
+                                    br.refcount, 0, {}};
+    for (const TaskRec* w : br.waiters) sb.waiters.push_back(w->desc.id);
+    s.blocks.push_back(std::move(sb));
   }
-
-  for (const auto& [tr, seen] : want_waits) {
-    const std::uint32_t missing =
-        tr->missing.load(std::memory_order_relaxed);
-    if (missing != seen) {
-      fail("task " + std::to_string(tr->desc.id) + ": missing " +
-           std::to_string(missing) + " != " + std::to_string(seen) +
-           " waiter entries");
-    }
+  // Budgets: exact here — all mutators are locked out.  The bottom
+  // level's count is derived (registered minus bounded), which a
+  // migrating block's two-ended claim skews until it lands.
+  for (std::int32_t k = 0; k < (at_quiescence ? num_levels() : bottom());
+       ++k) {
+    s.used.push_back(tier_used(k));
   }
-
-  // Budgets: TierBudget::used() must equal the block-record sum for
-  // every bounded level (exact here — all mutators are locked out).
-  for (std::size_t k = 0; k + 1 < levels; ++k) {
-    const std::uint64_t used = budgets_[k]->used();
-    if (used != want_used[k]) {
-      fail("level " + std::to_string(k) + ": budget used " +
-           std::to_string(used) + " != " + std::to_string(want_used[k]) +
-           " summed over block records");
-    }
+  for (const PeClaim& pc : pe_claims_) {
+    s.pe_claims.push_back(pc.bytes.load(std::memory_order_relaxed));
   }
-
-  if (queued != n_waiting_.load(std::memory_order_acquire)) {
-    fail("n_waiting " + std::to_string(n_waiting_.load()) + " != " +
-         std::to_string(queued) + " queued tasks");
-  }
-  const std::size_t live = records - queued;
-  if (live != n_live_.load(std::memory_order_acquire)) {
-    fail("n_live " + std::to_string(n_live_.load()) + " != " +
-         std::to_string(live) + " admitted task records");
-  }
-  if (want_fetch != n_inflight_fetch_.load(std::memory_order_acquire) ||
-      want_evict != n_inflight_evict_.load(std::memory_order_acquire)) {
-    fail("in-flight counters fetch=" +
-         std::to_string(n_inflight_fetch_.load()) + "/evict=" +
-         std::to_string(n_inflight_evict_.load()) +
-         " != block records fetch=" + std::to_string(want_fetch) +
-         "/evict=" + std::to_string(want_evict));
-  }
-  for (std::size_t pe = 0; pe < pe_claims_.size(); ++pe) {
-    const std::uint64_t held =
-        pe_claims_[pe].bytes.load(std::memory_order_relaxed);
-    if (held != want_claims[pe]) {
-      fail("pe " + std::to_string(pe) + ": claim ledger " +
-           std::to_string(held) + " != " + std::to_string(want_claims[pe]) +
-           " over admitted tasks");
-    }
-  }
-  if (at_quiescence && !quiescent()) {
-    fail("quiescent() false at claimed quiescence");
-  }
-  return v;
+  s.n_waiting = n_waiting_.load(std::memory_order_acquire);
+  s.n_live = n_live_.load(std::memory_order_acquire);
+  s.n_inflight_fetch = n_inflight_fetch_.load(std::memory_order_acquire);
+  s.n_inflight_evict = n_inflight_evict_.load(std::memory_order_acquire);
+  s.quiescent = quiescent();
+  return ooc::audit_protocol(s, at_quiescence);
 }
 
 } // namespace hmr::rt

@@ -33,13 +33,19 @@
 // configs behave exactly like the PR 2 engine.
 //
 // Scope: the MultiIo strategy with eager eviction (the paper's best
-// configuration and the runtime's default).  SingleIo's round-robin,
-// SyncNoIo, lazy eviction's shared LRU and the adaptive advisor are
-// inherently global and stay on the serial engine; the Runtime picks
-// per configuration.  Policy semantics mirror the serial engine:
-// all-or-nothing admission, per-PE FIFO wait queues, fair-admission
-// share gate, fetch dedup via waiter lists, refcount-guarded eviction,
-// and capacity released only when an eviction has finished.
+// configuration and the runtime's default); covers() says which
+// configurations that is.  SingleIo's round-robin, SyncNoIo, lazy
+// eviction's shared LRU and the adaptive advisor are inherently global
+// and stay on the serial engine; the Runtime picks per configuration.
+//
+// The two engines share one Config and one set of protocol steps
+// (ooc/protocol.hpp): tier resolution, the block-state view, arrival
+// validation, the fair-share gate, the Run/Fetch/Evict builders with
+// their counters, and the invariant audit.  What is left here is what
+// is really this engine's own: shards, stripe locks, TierBudgets and
+// atomics — all-or-nothing admission as a two-pass claim under the
+// dependences' stripes, fetch dedup via waiter lists, refcount-guarded
+// eviction, and capacity released only when an eviction has finished.
 
 #include <array>
 #include <atomic>
@@ -60,23 +66,16 @@ namespace hmr::rt {
 
 class ShardedEngine : public ooc::Engine {
 public:
-  struct Config {
-    /// PEs, and engine shards: one per PE.
-    std::int32_t num_pes = 1;
-    std::uint64_t fast_capacity = 0;
-    bool fair_admission = true;
-    bool writeonly_nocopy = false;
-    /// Evictions run inline on the completing worker (kWorkerInline)
-    /// instead of being queued on the PE's IO agent.
-    bool evict_by_worker = false;
-    /// Placement hierarchy, fastest level first (same contract as
-    /// ooc::PolicyEngine::Config::tiers).  Empty = the classic
-    /// two-level hierarchy from fast_capacity with tier ids 1/0.
-    std::vector<ooc::TierDesc> tiers;
-    /// Probe middle-level budgets before overflowing demotions to the
-    /// bottom.  false = always demote to the bottom level.
-    bool demote_cascade = true;
-  };
+  /// The serial engine's Config; resolved (tiers filled in) at
+  /// construction, and it must be one covers() accepts.
+  using Config = ooc::PolicyEngine::Config;
+
+  /// True for the configurations this engine implements: MultiIo,
+  /// eager eviction, no advisor and no parked-LRU watermark.
+  static bool covers(const Config& cfg) {
+    return cfg.strategy == ooc::Strategy::MultiIo && cfg.eager_evict &&
+           cfg.advisor == nullptr && cfg.lru_watermark >= 1.0;
+  }
 
   explicit ShardedEngine(Config cfg,
                          trace::ContentionStats* lock_stats = nullptr);
@@ -113,10 +112,10 @@ public:
 
   // ---- introspection ----
 
-  ooc::PolicyEngine::Stats stats() const; // summed over shards
+  ooc::EngineStats stats() const; // summed over shards
   ooc::EngineStats engine_stats() const override { return stats(); }
   /// One shard's counters (telemetry export labels them shard="s").
-  ooc::PolicyEngine::Stats shard_stats(std::int32_t s) const;
+  ooc::EngineStats shard_stats(std::int32_t s) const;
   bool quiescent() const override;
   std::uint64_t fast_used() const { return budgets_[0]->used(); }
   std::uint64_t fast_capacity() const { return cfg_.fast_capacity; }
@@ -125,17 +124,15 @@ public:
     return n_waiting_.load(std::memory_order_acquire);
   }
   const std::vector<ooc::TierDesc>& tiers() const override {
-    return tiers_;
+    return cfg_.tiers;
   }
   std::int32_t num_levels() const {
-    return static_cast<std::int32_t>(tiers_.size());
+    return static_cast<std::int32_t>(cfg_.tiers.size());
   }
-  /// Bytes claimed on a bounded hierarchy level (approximate under
-  /// concurrency, like TierBudget::used).
-  std::uint64_t tier_used(std::int32_t level) const override {
-    const auto& b = budgets_[static_cast<std::size_t>(level)];
-    return b ? b->used() : 0;
-  }
+  /// Bytes claimed on a bounded level; on the unbounded bottom level,
+  /// registered bytes minus what the bounded levels hold.  Approximate
+  /// under concurrency (like TierBudget::used), exact at quiescence.
+  std::uint64_t tier_used(std::int32_t level) const override;
   ooc::BlockState block_state(ooc::BlockId b) const override;
   std::int32_t block_level(ooc::BlockId b) const override;
   std::uint32_t refcount(ooc::BlockId b) const override;
@@ -147,11 +144,10 @@ public:
     return events_.load(std::memory_order_relaxed);
   }
 
-  /// Cross-check the bookkeeping against ground truth recomputed from
-  /// the block/task records: per-level TierBudget used-bytes vs the
-  /// sum of resident + in-flight block sizes, waiting/live/in-flight
-  /// counters, per-PE claim ledgers, refcounts vs admitted tasks'
-  /// dependence lists, waiter-list sanity.  Returns one line per
+  /// The shared protocol audit (ooc/protocol.hpp) over a snapshot of
+  /// the shard and block records, with each bounded level's
+  /// TierBudget::used() as its byte count (and, at quiescence, the
+  /// bottom level's derived count too).  Returns one line per
   /// violation (empty = clean).  Takes every shard, registry and
   /// stripe lock; exact only at quiescence (budget releases commit
   /// outside the stripe critical sections), which is when the Runtime
@@ -187,21 +183,12 @@ private:
     std::vector<TaskRec*> waiters; // admitted tasks awaiting the fetch
   };
 
-  static ooc::BlockState state_of(const BlockRec& br) {
-    if (br.from_level >= 0) {
-      return br.level == 0 ? ooc::BlockState::FetchInFlight
-                           : ooc::BlockState::EvictInFlight;
-    }
-    return br.level == 0 ? ooc::BlockState::InFast
-                         : ooc::BlockState::InSlow;
-  }
-
   /// One PE's engine state; shards_[pe].
   struct alignas(64) Shard {
     std::mutex mu;
     std::deque<ooc::TaskId> wait_q;
     std::unordered_map<ooc::TaskId, std::unique_ptr<TaskRec>> tasks;
-    ooc::PolicyEngine::Stats stats;
+    ooc::EngineStats stats;
   };
 
   struct alignas(64) Stripe {
@@ -212,6 +199,10 @@ private:
     std::atomic<std::uint64_t> bytes{0};
   };
 
+  /// The record slot of block id `b` (live or freed; a never-used
+  /// slot reads not live), or nullptr when its chunk was never
+  /// allocated.
+  BlockRec* find_block(ooc::BlockId b) const;
   BlockRec& block(ooc::BlockId b) const;
   Stripe& stripe(ooc::BlockId b) const {
     return stripes_[static_cast<std::size_t>(b) % kStripes];
@@ -239,11 +230,10 @@ private:
   }
 
   std::int32_t bottom() const {
-    return static_cast<std::int32_t>(tiers_.size()) - 1;
+    return static_cast<std::int32_t>(cfg_.tiers.size()) - 1;
   }
 
-  Config cfg_;
-  std::vector<ooc::TierDesc> tiers_; // resolved hierarchy
+  Config cfg_; // resolved: cfg_.tiers is the hierarchy
   /// One budget per bounded level (index = level); nullptr for the
   /// unbounded bottom level.
   std::vector<std::unique_ptr<ooc::TierBudget>> budgets_;
@@ -258,6 +248,8 @@ private:
   std::mutex registry_mu_;
   std::vector<std::atomic<BlockRec*>> chunks_;
   std::atomic<std::uint64_t> n_blocks_{0};
+  /// Bytes of every registered block (the bottom level's tier_used).
+  alignas(64) std::atomic<std::uint64_t> registered_bytes_{0};
 
   alignas(64) std::atomic<std::uint64_t> events_{0};
   alignas(64) std::atomic<std::size_t> n_waiting_{0};

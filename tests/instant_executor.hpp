@@ -1,21 +1,23 @@
 #pragma once
-// InstantExecutor: a minimal synchronous executor for PolicyEngine
-// tests.  Transfers complete instantly; Run commands execute in FIFO
-// order per PE (optionally deferred so tests can interleave events by
-// hand).  This exercises the full protocol without any timing model.
+// InstantExecutor: a minimal synchronous executor for engine tests,
+// over any ooc::Engine (the serial PolicyEngine or the ShardedEngine).
+// Transfers complete instantly; commands are chased in FIFO order and
+// Run commands execute at once (optionally deferred so tests can
+// interleave events by hand).  This exercises the full protocol
+// without any timing model.
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <vector>
 
-#include "ooc/policy_engine.hpp"
+#include "ooc/engine.hpp"
 
 namespace hmr::testing {
 
 class InstantExecutor {
 public:
-  explicit InstantExecutor(ooc::PolicyEngine& eng, bool auto_run = true)
+  explicit InstantExecutor(ooc::Engine& eng, bool auto_run = true)
       : eng_(&eng), auto_run_(auto_run) {}
 
   /// Feed a task arrival and chase all resulting commands.
@@ -39,7 +41,7 @@ public:
         case ooc::Command::Kind::Run:
           run_order.push_back(c.task);
           if (auto_run_) {
-            append(eng_->on_task_complete(c.task));
+            append(eng_->on_task_complete(c.task, c.pe));
           } else {
             runnable.push_back(c);
           }
@@ -52,8 +54,9 @@ public:
   void complete(ooc::TaskId t) {
     for (auto it = runnable.begin(); it != runnable.end(); ++it) {
       if (it->task == t) {
+        const std::int32_t pe = it->pe;
         runnable.erase(it);
-        drive(eng_->on_task_complete(t));
+        drive(eng_->on_task_complete(t, pe));
         return;
       }
     }
@@ -70,7 +73,7 @@ private:
     for (auto& c : cmds) pending_.push_back(c);
   }
 
-  ooc::PolicyEngine* eng_;
+  ooc::Engine* eng_;
   bool auto_run_;
   std::deque<ooc::Command> pending_;
 };

@@ -19,9 +19,11 @@
 #include <sstream>
 #include <thread>
 
+#include "instant_executor.hpp"
 #include "ooc/policy_engine.hpp"
 #include "rt/io_handle.hpp"
 #include "rt/runtime.hpp"
+#include "rt/sharded_engine.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/serve.hpp"
 #include "telemetry/watchdog.hpp"
@@ -247,22 +249,52 @@ TEST(AuditDeathTest, CheckAuditAbortsOnViolations) {
 
 // The auditor must be *sensitive*, not just quiet on healthy runs: a
 // mid-flight engine audited against a (false) claim of quiescence has
-// held refcounts and an unfinished migration to object to.
+// held refcounts and an unfinished migration to object to.  Both
+// engines run the one shared audit over their own snapshot.
 TEST(Audit, EngineAuditFlagsFalseQuiescenceClaim) {
   ooc::PolicyEngine::Config c;
   c.strategy = ooc::Strategy::MultiIo;
   c.num_pes = 1;
   c.fast_capacity = 100;
+  ooc::PolicyEngine serial(c);
+  rt::ShardedEngine sharded(c);
+  for (ooc::Engine* e : {static_cast<ooc::Engine*>(&serial),
+                         static_cast<ooc::Engine*>(&sharded)}) {
+    e->add_block(0, 60); // slow-resident under a movement strategy
+    ooc::TaskDesc t;
+    t.id = 1;
+    t.pe = 0;
+    t.deps.push_back({0, ooc::AccessMode::ReadWrite});
+    const auto cmds = e->on_task_arrived(t);
+    ASSERT_FALSE(cmds.empty()); // a fetch is now in flight
+    EXPECT_TRUE(e->audit_invariants(/*at_quiescence=*/false).empty());
+    EXPECT_FALSE(e->audit_invariants(/*at_quiescence=*/true).empty());
+  }
+}
+
+// A completed task's record is freed: after many tasks through the
+// serial engine the quiescent audit (records = queued + live) is
+// clean, which it cannot be while completed records linger.
+TEST(Audit, SerialEngineFreesCompletedTaskRecords) {
+  ooc::PolicyEngine::Config c;
+  c.num_pes = 2;
+  c.fast_capacity = 1000;
   ooc::PolicyEngine e(c);
-  e.add_block(0, 60); // slow-resident under a movement strategy
-  ooc::TaskDesc t;
-  t.id = 1;
-  t.pe = 0;
-  t.deps.push_back({0, ooc::AccessMode::ReadWrite});
-  const auto cmds = e.on_task_arrived(t);
-  ASSERT_FALSE(cmds.empty()); // a fetch is now in flight
-  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/false).empty());
-  EXPECT_FALSE(e.audit_invariants(/*at_quiescence=*/true).empty());
+  for (ooc::BlockId b = 0; b < 8; ++b) e.add_block(b, 100);
+  testing::InstantExecutor x(e);
+  constexpr ooc::TaskId kTasks = 12000;
+  for (ooc::TaskId t = 0; t < kTasks; ++t) {
+    ooc::TaskDesc d;
+    d.id = t;
+    d.pe = static_cast<std::int32_t>(t % 2);
+    d.deps = {{t % 8, ooc::AccessMode::ReadWrite},
+              {(t + 3) % 8, ooc::AccessMode::ReadOnly}};
+    x.arrive(d);
+  }
+  EXPECT_EQ(e.stats().tasks_run, kTasks);
+  EXPECT_EQ(e.live_tasks(), 0u);
+  EXPECT_EQ(e.audit_invariants(/*at_quiescence=*/true),
+            std::vector<std::string>{});
 }
 
 // ---- runtime integration ----

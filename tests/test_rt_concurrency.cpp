@@ -8,13 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "ooc/tier_budget.hpp"
+#include "instant_executor.hpp"
 #include "ooc/policy_engine.hpp"
+#include "ooc/tier_budget.hpp"
 #include "rt/io_handle.hpp"
 #include "rt/runtime.hpp"
 #include "rt/sharded_engine.hpp"
@@ -83,77 +84,20 @@ TEST(TierBudget, ConcurrentClaimReleaseConservesBytes) {
 
 // ------------------------------------------------- sharded engine parity
 
-/// Drive the serial and sharded engines through the same MultiIo
-/// event sequence and require identical traffic stats.
-TEST(ShardedEngine, MirrorsSerialEngineOnSequentialWorkload) {
-  constexpr int kPes = 4;
-  constexpr std::uint64_t kBlock = 1000;
-  constexpr std::uint64_t kCap = 4 * kBlock; // 4 resident blocks max
-
-  ooc::PolicyEngine::Config sc;
-  sc.strategy = ooc::Strategy::MultiIo;
-  sc.num_pes = kPes;
-  sc.fast_capacity = kCap;
-  ooc::PolicyEngine serial(sc);
-
-  rt::ShardedEngine::Config hc;
-  hc.num_pes = kPes;
-  hc.fast_capacity = kCap;
-  rt::ShardedEngine sharded(hc);
-
-  for (ooc::BlockId b = 0; b < 12; ++b) {
-    serial.add_block(b, kBlock);
-    sharded.add_block(b, kBlock);
+/// Register 12 blocks of `block` bytes on both engines and drive them
+/// through the same MultiIo event sequence, each engine executing its
+/// own commands immediately.
+void drive_mirrored(ooc::Engine& a, ooc::Engine& b, int pes,
+                    std::uint64_t block) {
+  for (ooc::BlockId id = 0; id < 12; ++id) {
+    a.add_block(id, block);
+    b.add_block(id, block);
   }
-
-  // Each engine executes commands immediately (depth-first), exactly
-  // like tests/instant_executor.hpp does for the serial engine.
-  struct Driver {
-    std::function<std::vector<ooc::Command>(const ooc::TaskDesc&)> arrive;
-    std::function<std::vector<ooc::Command>(const ooc::Command&)> finish;
-    void pump(std::vector<ooc::Command> cmds) {
-      for (std::size_t i = 0; i < cmds.size(); ++i) {
-        auto more = finish(cmds[i]);
-        cmds.insert(cmds.end(), more.begin(), more.end());
-      }
-    }
-  };
-
-  Driver ds;
-  ds.arrive = [&](const ooc::TaskDesc& d) {
-    return serial.on_task_arrived(d);
-  };
-  ds.finish = [&](const ooc::Command& c) -> std::vector<ooc::Command> {
-    switch (c.kind) {
-      case ooc::Command::Kind::Fetch:
-        return serial.on_fetch_complete(c.block);
-      case ooc::Command::Kind::Evict:
-        return serial.on_evict_complete(c.block);
-      case ooc::Command::Kind::Run:
-        return serial.on_task_complete(c.task);
-    }
-    return {};
-  };
-
-  Driver dh;
-  dh.arrive = [&](const ooc::TaskDesc& d) {
-    return sharded.on_task_arrived(d);
-  };
-  dh.finish = [&](const ooc::Command& c) -> std::vector<ooc::Command> {
-    switch (c.kind) {
-      case ooc::Command::Kind::Fetch:
-        return sharded.on_fetch_complete(c.block);
-      case ooc::Command::Kind::Evict:
-        return sharded.on_evict_complete(c.block);
-      case ooc::Command::Kind::Run:
-        return sharded.on_task_complete(c.task, c.pe);
-    }
-    return {};
-  };
-
+  testing::InstantExecutor xa(a);
+  testing::InstantExecutor xb(b);
   ooc::TaskId next = 1;
   for (int round = 0; round < 6; ++round) {
-    for (int pe = 0; pe < kPes; ++pe) {
+    for (int pe = 0; pe < pes; ++pe) {
       ooc::TaskDesc d;
       d.id = next++;
       d.pe = pe;
@@ -162,23 +106,97 @@ TEST(ShardedEngine, MirrorsSerialEngineOnSequentialWorkload) {
       d.deps = {{static_cast<ooc::BlockId>(pe), ooc::AccessMode::ReadWrite},
                 {static_cast<ooc::BlockId>(4 + (pe + round) % 8),
                  ooc::AccessMode::ReadOnly}};
-      ds.pump(ds.arrive(d));
-      dh.pump(dh.arrive(d));
+      xa.arrive(d);
+      xb.arrive(d);
     }
   }
+  EXPECT_TRUE(a.quiescent());
+  EXPECT_TRUE(b.quiescent());
+}
 
-  EXPECT_TRUE(serial.quiescent());
-  EXPECT_TRUE(sharded.quiescent());
-  const auto a = serial.stats();
-  const auto b = sharded.stats();
-  EXPECT_EQ(a.tasks_run, b.tasks_run);
-  EXPECT_EQ(a.fetches, b.fetches);
-  EXPECT_EQ(a.fetch_bytes, b.fetch_bytes);
-  EXPECT_EQ(a.evicts, b.evicts);
-  EXPECT_EQ(a.evict_bytes, b.evict_bytes);
+/// Drive the serial and sharded engines through the same MultiIo
+/// event sequence and require identical counters.
+TEST(ShardedEngine, MirrorsSerialEngineOnSequentialWorkload) {
+  constexpr int kPes = 4;
+  constexpr std::uint64_t kBlock = 1000;
+
+  ooc::PolicyEngine::Config cfg;
+  cfg.num_pes = kPes;
+  cfg.fast_capacity = 4 * kBlock; // 4 resident blocks max
+  ooc::PolicyEngine serial(cfg);
+  rt::ShardedEngine sharded(cfg); // one Config for both engines
+  drive_mirrored(serial, sharded, kPes, kBlock);
+
+  EXPECT_EQ(serial.stats(), sharded.stats()); // every counter
   EXPECT_EQ(serial.fast_used(), sharded.fast_used());
   EXPECT_EQ(sharded.fast_used(), 0u);
 }
+
+/// At quiescence both engines report the same bytes on every level of
+/// a three-level hierarchy — the unbounded bottom level included.
+TEST(ShardedEngine, ReportsSerialTierUsageAtQuiescence) {
+  constexpr int kPes = 4;
+  constexpr std::uint64_t kBlock = 1000;
+
+  ooc::PolicyEngine::Config cfg;
+  cfg.num_pes = kPes;
+  cfg.tiers = {{2, 4 * kBlock, 1.0}, {1, 3 * kBlock, 1.0}, {0, 0, 1.0}};
+  ooc::PolicyEngine serial(cfg);
+  rt::ShardedEngine sharded(cfg);
+  drive_mirrored(serial, sharded, kPes, kBlock);
+
+  EXPECT_EQ(serial.stats(), sharded.stats());
+  EXPECT_GT(serial.stats().cascade_demotions, 0u);
+  std::uint64_t total = 0;
+  for (std::int32_t l = 0; l < serial.num_levels(); ++l) {
+    EXPECT_EQ(serial.tier_used(l), sharded.tier_used(l)) << "level " << l;
+    total += sharded.tier_used(l);
+  }
+  EXPECT_GT(sharded.tier_used(2), 0u);
+  EXPECT_EQ(total, 12 * kBlock);
+  EXPECT_TRUE(serial.audit_invariants(/*at_quiescence=*/true).empty());
+  EXPECT_TRUE(sharded.audit_invariants(/*at_quiescence=*/true).empty());
+}
+
+enum class EngineKind { Serial, Sharded };
+
+std::unique_ptr<ooc::Engine> make_engine(EngineKind k,
+                                         const ooc::PolicyEngine::Config& c) {
+  if (k == EngineKind::Serial) return std::make_unique<ooc::PolicyEngine>(c);
+  return std::make_unique<rt::ShardedEngine>(c);
+}
+
+class EngineDeathTest : public ::testing::TestWithParam<EngineKind> {};
+
+/// Both engines refuse a task whose dependence was freed or never
+/// registered, instead of fetching a dead block or running at once.
+TEST_P(EngineDeathTest, DependenceOnFreedOrUnknownBlockDies) {
+  ooc::PolicyEngine::Config c;
+  c.fast_capacity = 1000;
+  auto e = make_engine(GetParam(), c);
+  for (ooc::BlockId b = 0; b < 3; ++b) e->add_block(b, 100);
+  e->remove_block(2);
+  for (const ooc::BlockId dead : {ooc::BlockId{2}, ooc::BlockId{5}}) {
+    ooc::TaskDesc d;
+    d.id = 1;
+    d.deps = {{dead, ooc::AccessMode::ReadOnly}};
+    EXPECT_DEATH(
+        {
+          auto cmds = e->on_task_arrived(d);
+          (void)cmds;
+        },
+        "unregistered block")
+        << "block " << dead;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, EngineDeathTest,
+    ::testing::Values(EngineKind::Serial, EngineKind::Sharded),
+    [](const ::testing::TestParamInfo<EngineKind>& p) {
+      return std::string(p.param == EngineKind::Serial ? "Serial"
+                                                          : "Sharded");
+    });
 
 TEST(ShardedEngine, AllOrNothingAdmissionAndFifo) {
   rt::ShardedEngine::Config hc;
@@ -419,11 +437,7 @@ TEST(RtConcurrency, GlobalAndShardedAgreeOnSerializedWorkload) {
   };
   const auto g = run(ooc::Strategy::SingleIo);
   const auto s = run(ooc::Strategy::MultiIo);
-  EXPECT_EQ(g.tasks_run, s.tasks_run);
-  EXPECT_EQ(g.fetches, s.fetches);
-  EXPECT_EQ(g.fetch_bytes, s.fetch_bytes);
-  EXPECT_EQ(g.evicts, s.evicts);
-  EXPECT_EQ(g.evict_bytes, s.evict_bytes);
+  EXPECT_EQ(g, s); // every counter
 }
 
 TEST(RtConcurrency, ChunkedMigrationInsideTheRuntime) {

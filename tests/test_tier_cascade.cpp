@@ -42,8 +42,9 @@ ooc::PolicyEngine::Config three_level(std::uint64_t top_cap,
   return cfg;
 }
 
-/// Depth-first pump: execute every command immediately, in order.
-void pump(ooc::PolicyEngine& e, std::vector<ooc::Command> cmds,
+/// Depth-first pump over either engine: execute every command
+/// immediately, in order.
+void pump(ooc::Engine& e, std::vector<ooc::Command> cmds,
           std::vector<ooc::Command>* log = nullptr) {
   for (std::size_t i = 0; i < cmds.size(); ++i) {
     if (log != nullptr) log->push_back(cmds[i]);
@@ -56,7 +57,7 @@ void pump(ooc::PolicyEngine& e, std::vector<ooc::Command> cmds,
         more = e.on_evict_complete(cmds[i].block);
         break;
       case ooc::Command::Kind::Run:
-        more = e.on_task_complete(cmds[i].task);
+        more = e.on_task_complete(cmds[i].task, cmds[i].pe);
         break;
     }
     cmds.insert(cmds.end(), more.begin(), more.end());
@@ -72,7 +73,7 @@ ooc::TaskDesc one_dep_task(ooc::TaskId id, ooc::BlockId b) {
 }
 
 /// Run a one-dep task to completion and return the commands it caused.
-std::vector<ooc::Command> run_task(ooc::PolicyEngine& e, ooc::TaskId id,
+std::vector<ooc::Command> run_task(ooc::Engine& e, ooc::TaskId id,
                                    ooc::BlockId b) {
   std::vector<ooc::Command> log;
   pump(e, e.on_task_arrived(one_dep_task(id, b)), &log);
@@ -204,27 +205,11 @@ TEST(TierCascade, ShardedFillsMiddleThenOverflows) {
     EXPECT_EQ(e.add_block(b, 100), kBot);
 
   std::vector<ooc::Command> evict_log;
-  auto pump_sh = [&](std::vector<ooc::Command> cmds) {
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-      if (cmds[i].kind == ooc::Command::Kind::Evict)
-        evict_log.push_back(cmds[i]);
-      std::vector<ooc::Command> more;
-      switch (cmds[i].kind) {
-        case ooc::Command::Kind::Fetch:
-          more = e.on_fetch_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Evict:
-          more = e.on_evict_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Run:
-          more = e.on_task_complete(cmds[i].task, cmds[i].pe);
-          break;
-      }
-      cmds.insert(cmds.end(), more.begin(), more.end());
+  for (ooc::BlockId b = 0; b < 3; ++b) {
+    for (const auto& c : evicts_of(run_task(e, 1 + b, b))) {
+      evict_log.push_back(c);
     }
-  };
-  for (ooc::BlockId b = 0; b < 3; ++b)
-    pump_sh(e.on_task_arrived(one_dep_task(1 + b, b)));
+  }
 
   ASSERT_EQ(evict_log.size(), 3u);
   EXPECT_EQ(evict_log[0].dst_tier, kMid);

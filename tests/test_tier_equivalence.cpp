@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "instant_executor.hpp"
 #include "mem/memory_manager.hpp"
 #include "ooc/policy_engine.hpp"
 #include "refimpl/reference_engine.hpp"
@@ -383,27 +384,10 @@ TEST(TierEquivalence, ShardedMatchesSeedStatsSequential) {
       cmds.insert(cmds.end(), more.begin(), more.end());
     }
   };
-  auto pump_sharded = [&](std::vector<ooc::Command> cmds) {
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-      std::vector<ooc::Command> more;
-      switch (cmds[i].kind) {
-        case ooc::Command::Kind::Fetch:
-          more = sh.on_fetch_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Evict:
-          more = sh.on_evict_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Run:
-          more = sh.on_task_complete(cmds[i].task, cmds[i].pe);
-          break;
-      }
-      cmds.insert(cmds.end(), more.begin(), more.end());
-    }
-  };
-
+  hmr::testing::InstantExecutor xh(sh);
   for (const auto& ts : sc.tasks) {
     pump_seed(se.on_task_arrived(to_seed(ts)));
-    pump_sharded(sh.on_task_arrived(to_ntier(ts)));
+    xh.arrive(to_ntier(ts));
   }
 
   EXPECT_TRUE(se.quiescent());
