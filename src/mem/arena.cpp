@@ -97,39 +97,56 @@ const char* TierArena::backing_name() const {
   return actual_backing_ == Backing::Mmap ? "mmap" : "new[]";
 }
 
-std::uint64_t TierArena::round_up(std::uint64_t bytes) const {
+std::uint64_t TierArena::footprint(std::uint64_t bytes) const {
   const std::uint64_t a = alignment_;
   return (bytes + a - 1) / a * a;
 }
 
-void* TierArena::alloc(std::uint64_t bytes, bool may_grow) {
+void* TierArena::alloc(std::uint64_t bytes, bool may_grow, bool from_top) {
   HMR_CHECK_MSG(bytes > 0, "zero-byte tier allocation");
-  const std::uint64_t need = round_up(bytes);
-  // Cheap reject via the length index before the first-fit walk.
+  const std::uint64_t need = footprint(bytes);
+  // Cheap reject via the length index before the walk.
   if (free_lens_.empty() || *free_lens_.rbegin() < need) return nullptr;
+  if (from_top) {
+    for (auto it = free_ranges_.rbegin(); it != free_ranges_.rend(); ++it) {
+      const std::uint64_t end = std::min(it->first + it->second, touched_);
+      if (end >= it->first + need) {
+        return take(std::prev(it.base()), end - need, need);
+      }
+    }
+  }
   for (auto it = free_ranges_.begin(); it != free_ranges_.end(); ++it) {
     if (it->second < need) continue;
-    const std::uint64_t off = it->first;
-    const std::uint64_t len = it->second;
     // First fit has the lowest start, hence the lowest end, of all fits.
-    if (!may_grow && off + need > touched_) return nullptr;
-    free_ranges_.erase(it);
-    erase_one_len(free_lens_, len);
-    if (len > need) {
-      free_ranges_.emplace(off + need, len - need);
-      free_lens_.insert(len - need);
-    }
-    live_.emplace(off, need);
-    used_ += need;
-    high_water_ = std::max(high_water_, used_);
-    touched_ = std::max(touched_, off + need);
-    ++total_allocs_;
-    return base_ + off;
+    if (!may_grow && it->first + need > touched_) return nullptr;
+    return take(it, it->first, need);
   }
   return nullptr;
 }
 
-void TierArena::free(void* p) {
+void* TierArena::take(std::map<std::uint64_t, std::uint64_t>::iterator it,
+                      std::uint64_t at, std::uint64_t need) {
+  const std::uint64_t off = it->first;
+  const std::uint64_t len = it->second;
+  free_ranges_.erase(it);
+  erase_one_len(free_lens_, len);
+  if (at > off) {
+    free_ranges_.emplace(off, at - off);
+    free_lens_.insert(at - off);
+  }
+  if (off + len > at + need) {
+    free_ranges_.emplace(at + need, off + len - (at + need));
+    free_lens_.insert(off + len - (at + need));
+  }
+  live_.emplace(at, need);
+  used_ += need;
+  high_water_ = std::max(high_water_, used_);
+  touched_ = std::max(touched_, at + need);
+  ++total_allocs_;
+  return base_ + at;
+}
+
+std::uint64_t TierArena::free(void* p) {
   HMR_CHECK_MSG(p != nullptr, "freeing nullptr");
   const auto* bp = static_cast<const std::byte*>(p);
   HMR_CHECK_MSG(base_ != nullptr && bp >= base_ && bp < base_ + capacity_,
@@ -137,7 +154,8 @@ void TierArena::free(void* p) {
   const std::uint64_t off = static_cast<std::uint64_t>(bp - base_);
   auto it = live_.find(off);
   HMR_CHECK_MSG(it != live_.end(), "double free or interior pointer");
-  std::uint64_t len = it->second;
+  const std::uint64_t freed = it->second;
+  std::uint64_t len = freed;
   live_.erase(it);
   used_ -= len;
 
@@ -160,6 +178,7 @@ void TierArena::free(void* p) {
   }
   free_ranges_.emplace(start, len);
   free_lens_.insert(len);
+  return freed;
 }
 
 bool TierArena::owns(const void* p) const {

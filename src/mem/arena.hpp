@@ -53,16 +53,23 @@ public:
   /// First-fit allocation.  Returns nullptr when no free range of
   /// `bytes` exists (capacity or fragmentation), or — with
   /// `may_grow = false` — when the first fit would end past the touched
-  /// extent.  Zero-byte requests are rejected.
-  void* alloc(std::uint64_t bytes, bool may_grow = true);
+  /// extent.  `from_top` instead takes the highest fit that ends within
+  /// the touched extent, falling back to first fit when none does.
+  /// Zero-byte requests are rejected.
+  void* alloc(std::uint64_t bytes, bool may_grow = true,
+              bool from_top = false);
 
-  /// Releases a pointer previously returned by alloc().  Coalesces with
-  /// adjacent free ranges.  Freeing a foreign or already-freed pointer
-  /// aborts (HMR_CHECK) — this is an API-contract violation.
-  void free(void* p);
+  /// Releases a pointer previously returned by alloc() and returns the
+  /// bytes it occupied (its footprint).  Coalesces with adjacent free
+  /// ranges.  Freeing a foreign or already-freed pointer aborts
+  /// (HMR_CHECK) — this is an API-contract violation.
+  std::uint64_t free(void* p);
 
   /// True if `p` is a live allocation from this arena.
   bool owns(const void* p) const;
+
+  /// Bytes an allocation of `bytes` occupies (rounded to the alignment).
+  std::uint64_t footprint(std::uint64_t bytes) const;
 
   const std::string& name() const { return name_; }
   std::uint64_t capacity() const { return capacity_; }
@@ -91,7 +98,9 @@ public:
   int bound_node() const { return bound_node_; }
 
 private:
-  std::uint64_t round_up(std::uint64_t bytes) const;
+  /// Carve [at, at + need) out of the free range `it`.
+  void* take(std::map<std::uint64_t, std::uint64_t>::iterator it,
+             std::uint64_t at, std::uint64_t need);
   void reserve_region(const Options& opts);
   void release_region();
 

@@ -3,11 +3,16 @@
 //
 // Owns one TierArena per memory tier plus a registry of *blocks* — the
 // unit the runtime migrates (the paper's CkIOHandle-backed data blocks).
-// Migration follows the paper's §IV-C recipe exactly:
+// A copying migration follows the paper's §IV-C recipe:
 //
 //   1. numa_alloc_onnode on the destination tier   (alloc_on_tier)
 //   2. memcpy src -> dst                           (real bytes move)
 //   3. numa_free the source buffer                 (free_on_tier)
+//
+// In zero-copy mode (every rt::Runtime) many migrations skip it: clean
+// blocks move by swapping with a retained shadow, and a dirty block's
+// eviction into the write-back tier leaves its bytes where they are
+// until that space is needed (docs/PERF.md §4).
 //
 // An optional per-tier pooling allocator implements the paper's stated
 // future optimization ("the creating of space in destination memory
@@ -58,12 +63,14 @@ struct MigrateResult {
 
 struct TierUsage {
   std::uint64_t capacity = 0;
-  std::uint64_t used = 0;        // live blocks + pooled buffers + shadows
+  std::uint64_t used = 0;        // live blocks + pooled + shadows + deferred
   std::uint64_t pooled = 0;      // bytes parked in the pool
   std::uint64_t shadow = 0;      // bytes held by zero-copy shadows
+  std::uint64_t deferred = 0;    // bytes of blocks whose write-back is
+                                 // deferred (logically on another tier)
   std::uint64_t high_water = 0;
   std::uint64_t largest_free = 0; // largest allocatable range
-  std::uint64_t live_blocks = 0;  // block primaries resident here
+  std::uint64_t live_blocks = 0;  // blocks logically resident here
 };
 
 struct MigrationStats {
@@ -176,11 +183,13 @@ public:
   void set_zero_copy(bool on) { zero_copy_ = on; }
   bool zero_copy_enabled() const { return zero_copy_; }
 
-  /// Swap-only migration: when `dst` holds `b`'s valid shadow, complete
-  /// the migration as a pointer swap and return ok (zero_copy set);
-  /// otherwise do nothing and return ok = false.  No alloc, copy or
-  /// free, so the runtime runs it on whichever thread receives the
-  /// command.  `copy_contents` has migrate()'s meaning.
+  /// Copy-free migration: complete the migration without an alloc,
+  /// copy or free when `dst` holds `b`'s valid shadow (a swap), holds
+  /// its deferred bytes (a fetch back), or is the write-back tier and
+  /// the block may defer; return ok with zero_copy set.  Otherwise do
+  /// nothing and return ok = false.  The runtime runs it on whichever
+  /// thread receives the command.  `copy_contents` has migrate()'s
+  /// meaning.
   MigrateResult try_swap(BlockId b, TierId dst, bool copy_contents = true);
 
   /// Coherence audit: every swap first compares the shadow with the
@@ -206,6 +215,46 @@ public:
     return shadow_invalidations_.load(std::memory_order_relaxed);
   }
 
+  // ---- deferred write-back (docs/PERF.md §4) ----
+  //
+  // With zero-copy on, a migration into the write-back tier (the
+  // runtime's bottom tier) that no shadow can satisfy completes without
+  // a copy: the block's logical tier becomes the destination while its
+  // bytes stay in their buffer as a *deferred* residence.  Migrating
+  // the block back to the tier holding its bytes is then a pointer-only
+  // fetch back; migrating it anywhere else copies from where the bytes
+  // are.  The write-back itself (alloc on the logical tier, copy, free)
+  // runs only when an allocation on the holding tier still finds no
+  // room after that tier's shadows are reclaimed.  Blocks of at least
+  // chunk_threshold() bytes never defer: they keep the chunked copy.
+  // A write-back moves the block's storage, so block_ptr() stays valid
+  // only while the caller holds the block resident.
+
+  /// Set the write-back tier (kNoTier, the default, disables deferral).
+  /// Configure before traffic.
+  void set_write_back_tier(TierId t);
+  static constexpr TierId kNoTier = ~TierId{0};
+
+  /// Migrations completed as a deferral, and deferred blocks copied
+  /// out to their logical tier (with the bytes copied).
+  std::uint64_t deferrals() const {
+    return deferrals_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t write_backs() const {
+    return write_backs_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t write_back_bytes() const {
+    return write_back_bytes_.load(std::memory_order_relaxed);
+  }
+
+  /// Ledger audit: the shadow and deferred lists match the block
+  /// records, every residence is a live allocation of its tier, and
+  /// each tier's residences, pooled and raw bytes sum to its arena's
+  /// `used`.  One line per violation; empty when consistent, and also
+  /// while a migration is in flight (its buffers belong to no ledger
+  /// yet).
+  std::vector<std::string> audit_ledger() const;
+
   // ---- introspection ----
 
   TierUsage usage(TierId t) const;
@@ -225,7 +274,9 @@ private:
   struct BlockRec {
     void* ptr = nullptr;
     std::uint64_t bytes = 0;
-    TierId tier = 0;
+    TierId tier = 0;     // logical tier (where the policy placed it)
+    TierId ptr_tier = 0; // tier whose arena holds ptr; != tier while the
+                         // write-back is deferred
     bool live = false;
     bool migrating = false; // guards the paper's "one migration at a time"
     // Zero-copy shadow: a stale residence whose contents are
@@ -234,49 +285,75 @@ private:
     void* shadow = nullptr;
     TierId shadow_tier = 0;
     std::size_t shadow_slot = 0;
+    std::size_t deferred_slot = 0; // index in ptr_tier's deferred list
+    bool deferred() const { return ptr_tier != tier; }
   };
 
   struct TierState {
     std::unique_ptr<TierArena> arena;
     BufferPool pool;
+    std::uint64_t raw_bytes = 0; // alloc_on_tier allocations
     mutable std::mutex mu;
   };
 
   /// Per-tier block bookkeeping, guarded by blocks_mu_.
   struct TierBlocks {
-    std::vector<BlockId> shadows; // blocks whose shadow lives here
+    std::vector<BlockId> shadows;  // blocks whose shadow lives here
     std::uint64_t shadow_bytes = 0;
-    std::uint64_t primaries = 0;
+    std::vector<BlockId> deferred; // deferred blocks whose bytes live here
+    std::uint64_t deferred_bytes = 0;
+    std::uint64_t primaries = 0;   // blocks logically here
   };
 
   void* alloc_locked(TierState& ts, std::uint64_t bytes, bool* from_pool,
                      bool may_grow);
+  bool deferral_on() const {
+    return zero_copy_ && write_back_tier_ != kNoTier;
+  }
+  /// Deferral is on and a block of `bytes` is small enough to defer.
+  bool deferrable(std::uint64_t bytes) const {
+    return deferral_on() &&
+           (chunk_threshold_ == 0 || bytes < chunk_threshold_);
+  }
   void free_locked(TierState& ts, void* p, std::uint64_t bytes);
-  /// Allocate block storage on tier `t`, reclaiming the tier's shadows
+  /// Allocate block storage on tier `t`; with zero-copy on, make room
   /// first when the allocation would grow the touched extent or fail.
   void* alloc_storage(TierId t, std::uint64_t bytes, bool* from_pool);
-  // Shadow maintenance, all with blocks_mu_ held.  Shadows are freed
-  // inside that section (tier mutex nested inside blocks_mu_, never the
-  // reverse), so a shadow is always either linked or back in its arena.
+  // Shadow and deferral maintenance, all with blocks_mu_ held.  Freed
+  // buffers go back inside that section (tier mutex nested inside
+  // blocks_mu_, never the reverse), so a residence is always either
+  // linked or back in its arena.
+  /// alloc_storage's slow path: reclaim t's shadows and retry without
+  /// growing, then write back t's deferred blocks, then grow.
+  void* alloc_reclaiming(TierId t, std::uint64_t bytes, bool* from_pool);
   /// Free every retained shadow on tier `t`.
   void reclaim_shadows(TierId t);
+  /// Copy every deferred block held on tier `t` out to its logical
+  /// tier; stops early if that tier has no room.
+  void write_back_deferred(TierId t);
   /// Free b's shadow; false when it had none.
   bool drop_shadow(BlockId b);
   void link_shadow(BlockId b, void* p, TierId t);
   /// Unlink b's shadow without freeing it (it becomes the primary).
   void* unlink_shadow(BlockId b);
+  void link_deferred(BlockId b);
+  void unlink_deferred(BlockId b);
   void count_migration(TierId src, TierId dst, std::uint64_t bytes);
 
   std::vector<std::unique_ptr<TierState>> arenas_;
   bool pool_enabled_;
   bool zero_copy_ = false;
   bool shadow_audit_ = false;
+  TierId write_back_tier_ = kNoTier;
   std::uint64_t chunk_threshold_ = 0; // 0 = chunking off
   ChunkRing ring_;
 
   std::atomic<std::uint64_t> zero_copy_admissions_{0};
   std::atomic<std::uint64_t> zero_copy_bytes_{0};
   std::atomic<std::uint64_t> shadow_invalidations_{0};
+  std::atomic<std::uint64_t> deferrals_{0};
+  std::atomic<std::uint64_t> write_backs_{0};
+  std::atomic<std::uint64_t> write_back_bytes_{0};
 
   mutable std::mutex blocks_mu_;
   std::vector<BlockRec> blocks_;

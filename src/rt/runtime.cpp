@@ -134,10 +134,13 @@ Runtime::Runtime(Config cfg)
     mm_->set_chunked_copy(cfg_.chunk_threshold, cfg_.chunk_bytes);
   }
   // Shadow residency is the runtime's only migration path: clean
-  // blocks move back and forth as pointer swaps (docs/PERF.md §4).
+  // blocks move back and forth as pointer swaps, and dirty evictions
+  // into the bottom tier defer their copy until the space is needed
+  // (docs/PERF.md §4).
   mm_->set_zero_copy(true);
   mm_->set_shadow_audit(hub_.audit_enabled());
   ooc::PolicyEngine::Config ec = engine_config(cfg_, *mm_);
+  mm_->set_write_back_tier(ec.tiers.back().id);
   if (cfg_.adaptive) {
     guidance_ = std::make_unique<adapt::Guidance>(
         cfg_.model, ec.tiers, cfg_.profiler_cfg, cfg_.strategy,
@@ -531,23 +534,25 @@ void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
     // is fragmentation or an accounting/race bug; the numbers tell
     // which.
     const mem::TierUsage u = mm_->usage(cmd.dst_tier);
-    char msg[320];
+    char msg[352];
     std::snprintf(
         msg, sizeof msg,
         "migration of block %llu (%llu bytes) to tier %u failed: used "
-        "%llu, shadow %llu, largest free range %llu of capacity %llu "
-        "(tier fragmentation exceeded the policy engine's byte budget)",
+        "%llu, shadow %llu, deferred %llu, largest free range %llu of "
+        "capacity %llu (tier fragmentation exceeded the policy engine's "
+        "byte budget)",
         static_cast<unsigned long long>(cmd.block),
         static_cast<unsigned long long>(mm_->block_bytes(cmd.block)),
         static_cast<unsigned>(cmd.dst_tier),
         static_cast<unsigned long long>(u.used),
         static_cast<unsigned long long>(u.shadow),
+        static_cast<unsigned long long>(u.deferred),
         static_cast<unsigned long long>(u.largest_free),
         static_cast<unsigned long long>(u.capacity));
     ::hmr::detail::check_failed("res.ok", __FILE__, __LINE__, msg);
   }
   // Traced traffic is *physical* bytes: nocopy skips the copy by
-  // contract, zero-copy admissions skip it via a shadow swap.
+  // contract, zero-copy admissions skip it (shadow swap or deferral).
   record_migration(cmd, !cmd.nocopy && !res.zero_copy, ts, now(),
                    trace_lane);
 }
@@ -842,6 +847,11 @@ std::uint64_t Runtime::audit_runs() const {
 
 void Runtime::run_wait_idle_audit() {
   telemetry::AuditReport r = audit_now();
+  // No migration is in flight here, so the MemoryManager's residence
+  // ledger must reconcile with its arenas as well.
+  for (auto& v : mm_->audit_ledger()) {
+    r.violations.push_back("memory ledger: " + std::move(v));
+  }
   {
     std::lock_guard lk(audit_mu_);
     last_audit_ = r;

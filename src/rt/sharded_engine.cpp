@@ -1,6 +1,7 @@
 #include "rt/sharded_engine.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "ooc/protocol.hpp"
 #include "util/check.hpp"
@@ -241,7 +242,15 @@ std::vector<Command> ShardedEngine::on_task_arrived(
                 "duplicate task id");
 
   if (!desc.prefetch) {
-    // Non-annotated entry method: deliver directly.
+    // Non-annotated entry method: deliver directly.  Its dependences
+    // claim nothing, but must name registered blocks all the same
+    // (try_admit checks the annotated ones).
+    for (const auto& d : desc.deps) {
+      std::lock_guard slk(stripe(d.block).mu);
+      const BlockRec* br = find_block(d.block);
+      HMR_CHECK_MSG(br != nullptr && br->live,
+                    "task depends on an unregistered block");
+    }
     n_live_.fetch_add(1, std::memory_order_acq_rel);
     cmds.push_back(ooc::run_command(desc.id, desc.pe));
     return cmds;
@@ -349,8 +358,9 @@ std::vector<Command> ShardedEngine::on_task_complete(ooc::TaskId t,
   // are eagerly evicted (paper behaviour).  Non-annotated entry
   // methods never claimed their deps, so there is nothing to release.
   const std::int32_t agent = ooc::evict_agent(cfg_, pe);
-  const auto deps_held =
-      tr->desc.prefetch ? tr->desc.deps : std::vector<ooc::Dep>{};
+  const std::span<const ooc::Dep> deps_held =
+      tr->desc.prefetch ? std::span<const ooc::Dep>(tr->desc.deps)
+                        : std::span<const ooc::Dep>();
   for (const auto& d : deps_held) {
     std::lock_guard slk(stripe(d.block).mu);
     BlockRec& br = block(d.block);

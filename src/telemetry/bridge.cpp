@@ -90,7 +90,8 @@ void export_data_movement(MetricsRegistry& reg,
               "Bytes moved with non-temporal stores")
       .set(mem::copy_nt_bytes());
   reg.counter("hmr_zero_copy_admissions_total", "",
-              "Migrations admitted by shadow swap (no copy)")
+              "Migrations completed without a copy (shadow swap, "
+              "deferral or fetch back)")
       .set(mm.zero_copy_admissions());
   reg.counter("hmr_zero_copy_bytes_total", "",
               "Bytes whose migration copy was skipped")
@@ -98,6 +99,15 @@ void export_data_movement(MetricsRegistry& reg,
   reg.counter("hmr_shadow_invalidations_total", "",
               "Shadows dropped by writes or capacity reclaim")
       .set(mm.shadow_invalidations());
+  reg.counter("hmr_write_back_deferrals_total", "",
+              "Evictions into the bottom tier whose copy was deferred")
+      .set(mm.deferrals());
+  reg.counter("hmr_write_backs_total", "",
+              "Deferred blocks copied out when their tier needed the space")
+      .set(mm.write_backs());
+  reg.counter("hmr_write_back_bytes_total", "",
+              "Bytes copied by deferred write-backs")
+      .set(mm.write_back_bytes());
 }
 
 } // namespace hmr::telemetry

@@ -40,9 +40,11 @@ void export_chunk_ring(MetricsRegistry& reg, const mem::ChunkRing& ring);
 
 /// Copy-kernel and zero-copy admission counters:
 /// hmr_copy_nt_copies_total / hmr_copy_nt_bytes_total (process-wide
-/// non-temporal-store path) and hmr_zero_copy_admissions_total /
+/// non-temporal-store path), hmr_zero_copy_admissions_total /
 /// hmr_zero_copy_bytes_total / hmr_shadow_invalidations_total from the
-/// MemoryManager's shadow machinery.
+/// MemoryManager's shadow machinery, and hmr_write_back_deferrals_total
+/// / hmr_write_backs_total / hmr_write_back_bytes_total from its
+/// deferred write-back.
 void export_data_movement(MetricsRegistry& reg,
                           const mem::MemoryManager& mm);
 

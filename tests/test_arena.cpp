@@ -82,6 +82,34 @@ TEST(TierArena, TouchedExtentBoundsNonGrowingAllocs) {
   EXPECT_EQ(a.touched_extent(), 128 * KiB);
 }
 
+TEST(TierArena, FromTopTakesTheHighestFitInsideTheTouchedExtent) {
+  TierArena a("t", 1 * MiB);
+  auto* base = static_cast<std::byte*>(a.alloc(64 * KiB));
+  (void)a.alloc(64 * KiB); // stays between the two holes
+  void* top = a.alloc(64 * KiB);
+  a.free(base);
+  a.free(top);
+  // Both holes fit; the high one is taken, flush with the extent.
+  EXPECT_EQ(a.alloc(32 * KiB, true, /*from_top=*/true),
+            base + 160 * KiB);
+  EXPECT_EQ(a.alloc(32 * KiB, true, /*from_top=*/true),
+            base + 128 * KiB);
+  // Nothing left above mid: the next one fits only in the low hole.
+  EXPECT_EQ(a.alloc(64 * KiB, true, /*from_top=*/true), base);
+  // No fit within the extent: first fit, growing it.
+  EXPECT_EQ(a.alloc(64 * KiB, /*may_grow=*/false, /*from_top=*/true),
+            nullptr);
+  EXPECT_EQ(a.alloc(64 * KiB, true, /*from_top=*/true), base + 192 * KiB);
+  EXPECT_EQ(a.touched_extent(), 256 * KiB);
+}
+
+TEST(TierArena, FreeReturnsTheFootprint) {
+  TierArena a("t", 1 * MiB);
+  EXPECT_EQ(a.footprint(100), 128u);
+  EXPECT_EQ(a.free(a.alloc(100)), 128u);
+  EXPECT_EQ(a.used(), 0u);
+}
+
 TEST(TierArena, ZeroCapacityArenaRejectsAll) {
   TierArena a("empty", 0);
   EXPECT_EQ(a.alloc(1), nullptr);

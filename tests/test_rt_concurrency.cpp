@@ -190,6 +190,25 @@ TEST_P(EngineDeathTest, DependenceOnFreedOrUnknownBlockDies) {
   }
 }
 
+/// A plain (non-prefetch) entry method claims nothing, but its
+/// dependences must still name registered blocks on either engine.
+TEST_P(EngineDeathTest, PlainTaskOnUnknownBlockDies) {
+  ooc::PolicyEngine::Config c;
+  c.fast_capacity = 1000;
+  auto e = make_engine(GetParam(), c);
+  e->add_block(0, 100);
+  ooc::TaskDesc d;
+  d.id = 1;
+  d.prefetch = false;
+  d.deps = {{0, ooc::AccessMode::ReadOnly}, {7, ooc::AccessMode::ReadOnly}};
+  EXPECT_DEATH(
+      {
+        auto cmds = e->on_task_arrived(d);
+        (void)cmds;
+      },
+      "task depends on an unregistered block");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineDeathTest,
     ::testing::Values(EngineKind::Serial, EngineKind::Sharded),

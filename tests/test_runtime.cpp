@@ -147,18 +147,20 @@ TEST(Runtime, MemoryPoolOptionWorks) {
   auto cfg = small_config(ooc::Strategy::MultiIo);
   cfg.memory_pool = true;
   Runtime rt(cfg);
-  IoHandle<double> h(rt, 64 * KiB);
   std::atomic<int> runs{0};
   for (int t = 0; t < 8; ++t) {
+    // A fresh block each round, freed at its end.  One block moving
+    // back and forth never reallocates (its eviction defers, its fetch
+    // back swaps), so the recycling shows across blocks: the next
+    // round's registration and fetch reuse the buffers this one parks.
+    IoHandle<double> h(rt, 64 * KiB);
     rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadWrite)},
                      [&runs] { runs.fetch_add(1); });
     rt.wait_idle();
+    rt.free_block(h.id());
   }
   EXPECT_EQ(runs.load(), 8);
-  // Migration buffers got recycled through the pool.  With shadows the
-  // fast buffer stays behind on eviction, so the recycling happens on
-  // whichever tier frees buffers: the slow one, where each write drops
-  // the block's shadow.
+  // Migration buffers got recycled through the pool.
   const auto& mm = rt.memory();
   EXPECT_GT(mm.pool_stats(cfg.model.fast).hits +
                 mm.pool_stats(cfg.model.slow).hits,
@@ -509,6 +511,73 @@ TEST(Runtime, ZeroCopyAdmissionIsTransparentUnderThreads) {
   EXPECT_EQ(off.admissions, 0u);
   EXPECT_GT(on.admissions, 0u);
   EXPECT_EQ(on.tasks, off.tasks);
+  ASSERT_EQ(on.contents.size(), off.contents.size());
+  for (std::size_t b = 0; b < on.contents.size(); ++b) {
+    ASSERT_EQ(on.contents[b], off.contents[b]) << "block " << b;
+  }
+}
+
+/// Deferred write-back under threads: three times more read-write data
+/// than the fast tier holds, so deferred evictions must be written back
+/// to make room.  Audited: every wait_idle reconciles the
+/// MemoryManager's ledger.
+struct WriteBackRun {
+  std::vector<std::vector<double>> contents;
+  std::uint64_t deferrals = 0;
+  std::uint64_t write_backs = 0;
+  std::uint64_t exported_deferrals = 0;  // as wait_idle exports them
+  std::uint64_t exported_write_backs = 0;
+};
+
+WriteBackRun run_write_back_workload(bool zero_copy) {
+  auto cfg = small_config(ooc::Strategy::MultiIo, /*pes=*/2);
+  cfg.mem_scale = 1.0 / 16384; // 1 MiB fast / 6 MiB slow
+  cfg.audit = 1;
+  cfg.metrics = true;
+  Runtime rt(cfg);
+  if (!zero_copy) rt.memory().set_zero_copy(false);
+  constexpr int kBlocks = 24; // 128 KiB each
+  std::vector<std::unique_ptr<IoHandle<double>>> hs;
+  for (int b = 0; b < kBlocks; ++b) {
+    hs.push_back(std::make_unique<IoHandle<double>>(rt, 16 * KiB));
+    auto& h = *hs.back();
+    for (std::uint64_t i = 0; i < h.size(); ++i) {
+      h[i] = b * 1000.0 + static_cast<double>(i % 251);
+    }
+  }
+  for (int round = 1; round <= 4; ++round) {
+    for (int b = 0; b < kBlocks; ++b) {
+      auto& h = *hs[static_cast<std::size_t>(b)];
+      rt.send_prefetch(b % 2, {h.dep(ooc::AccessMode::ReadWrite)},
+                       [&h, round] {
+                         for (std::uint64_t i = 0; i < h.size(); i += 5) {
+                           h[i] = h[i] * 0.5 + round;
+                         }
+                       });
+    }
+    rt.wait_idle();
+  }
+  WriteBackRun out;
+  out.deferrals = rt.memory().deferrals();
+  out.write_backs = rt.memory().write_backs();
+  auto& reg = *rt.metrics();
+  out.exported_deferrals =
+      reg.counter("hmr_write_back_deferrals_total").value();
+  out.exported_write_backs = reg.counter("hmr_write_backs_total").value();
+  for (auto& hp : hs) {
+    out.contents.emplace_back(&(*hp)[0], &(*hp)[0] + hp->size());
+  }
+  return out;
+}
+
+TEST(Runtime, DeferredWriteBackKeepsContentsUnderPressure) {
+  const WriteBackRun off = run_write_back_workload(false);
+  const WriteBackRun on = run_write_back_workload(true);
+  EXPECT_EQ(off.deferrals, 0u);
+  EXPECT_GT(on.deferrals, 0u);
+  EXPECT_GT(on.write_backs, 0u);
+  EXPECT_EQ(on.exported_deferrals, on.deferrals);
+  EXPECT_EQ(on.exported_write_backs, on.write_backs);
   ASSERT_EQ(on.contents.size(), off.contents.size());
   for (std::size_t b = 0; b < on.contents.size(); ++b) {
     ASSERT_EQ(on.contents[b], off.contents[b]) << "block " << b;
