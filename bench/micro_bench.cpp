@@ -66,25 +66,6 @@ void BM_ArenaFragmentedAlloc(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaFragmentedAlloc);
 
-void BM_ArenaLargestFreeRange(benchmark::State& state) {
-  // Heavily fragmented arena: the pre-index implementation walked every
-  // free range per query; the multiset max-hint answers from the back.
-  mem::TierArena arena("t", 64 * MiB);
-  std::vector<void*> keep;
-  for (int i = 0; i < 512; ++i) {
-    void* a = arena.alloc(32 * KiB);
-    void* b = arena.alloc(32 * KiB);
-    keep.push_back(a);
-    arena.free(b);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arena.largest_free_range());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  for (void* p : keep) arena.free(p);
-}
-BENCHMARK(BM_ArenaLargestFreeRange);
-
 void BM_MigrateRoundTrip(benchmark::State& state) {
   const auto bytes = static_cast<std::uint64_t>(state.range(0));
   const bool pool = state.range(1) != 0;
@@ -318,23 +299,6 @@ void BM_TracerRecord(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TracerRecord);
-
-void BM_TracerRecordSerial(benchmark::State& state) {
-  // The mutex + push_back path (Options::serial) for comparison with
-  // BM_TracerRecord.
-  trace::Tracer::Options opt;
-  opt.serial = true;
-  trace::Tracer t(true, opt);
-  double now = 0;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    t.record(0, trace::Category::Compute, now, now + 1e-4, 1);
-    now += 1e-4;
-    if ((++i & 4095) == 0) t.clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TracerRecordSerial);
 
 void BM_TracerRecordDrop(benchmark::State& state) {
   // The overflow path: a tiny ring that is never drained, so every

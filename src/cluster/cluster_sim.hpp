@@ -81,8 +81,8 @@ struct ClusterConfig {
   /// stall-attribution table, and fold the per-node snapshots into a
   /// telemetry::Federation after the run (one snapshot per group,
   /// weighted by the nodes it stands for).  Read them back via
-  /// federation() / metrics_json() / attrib_json() — the payloads of
-  /// the /cluster/metrics and /cluster/attrib status routes.
+  /// federation() / metrics_json() / attrib_json() (hmr_top
+  /// --cluster-file renders a saved metrics_json()).
   bool metrics = false;
 };
 
@@ -137,17 +137,17 @@ public:
   const PlacementCoordinator& coordinator() const;
   /// Cluster-level lanes when ClusterConfig::trace was set.
   const trace::Tracer& tracer() const { return tracer_; }
-  /// JSON for the StatusServer /cluster route: coordinator ledgers
-  /// plus the run's deterministic counters.
+  /// JSON snapshot of the run: coordinator ledgers plus the run's
+  /// deterministic counters.
   std::string to_json() const;
 
   /// Federated per-node metrics (empty unless ClusterConfig::metrics).
   const telemetry::Federation& federation() const { return fed_; }
-  /// The /cluster/metrics payload: per-group node snapshots plus the
-  /// weighted aggregate (telemetry::Federation::write_json).
+  /// Per-group node snapshots plus the weighted aggregate
+  /// (telemetry::Federation::write_json).
   std::string metrics_json() const;
-  /// The /cluster/attrib payload: each group's stall-attribution
-  /// rollup, weighted by the nodes it stands for.
+  /// Each group's stall-attribution rollup, weighted by the nodes it
+  /// stands for.
   std::string attrib_json() const;
 
 private:

@@ -116,7 +116,7 @@ public:
                                      std::uint64_t engine_local_bytes,
                                      std::uint64_t engine_remote_bytes) const;
 
-  /// JSON snapshot for the StatusServer /cluster route.
+  /// JSON snapshot of every node ledger (part of ClusterSim::to_json).
   std::string to_json() const;
 
 private:

@@ -19,16 +19,6 @@
 
 namespace hmr::mem {
 
-namespace {
-
-void erase_one_len(std::multiset<std::uint64_t>& lens, std::uint64_t len) {
-  const auto it = lens.find(len);
-  HMR_CHECK_MSG(it != lens.end(), "free-range length index out of sync");
-  lens.erase(it);
-}
-
-} // namespace
-
 TierArena::TierArena(std::string name, std::uint64_t capacity,
                      std::size_t alignment, Options opts)
     : name_(std::move(name)), capacity_(capacity), alignment_(alignment) {
@@ -38,7 +28,6 @@ TierArena::TierArena(std::string name, std::uint64_t capacity,
   if (capacity_ > 0) {
     reserve_region(opts);
     free_ranges_.emplace(0, capacity_);
-    free_lens_.insert(capacity_);
   }
 }
 
@@ -105,8 +94,6 @@ std::uint64_t TierArena::footprint(std::uint64_t bytes) const {
 void* TierArena::alloc(std::uint64_t bytes, bool may_grow, bool from_top) {
   HMR_CHECK_MSG(bytes > 0, "zero-byte tier allocation");
   const std::uint64_t need = footprint(bytes);
-  // Cheap reject via the length index before the walk.
-  if (free_lens_.empty() || *free_lens_.rbegin() < need) return nullptr;
   if (from_top) {
     for (auto it = free_ranges_.rbegin(); it != free_ranges_.rend(); ++it) {
       const std::uint64_t end = std::min(it->first + it->second, touched_);
@@ -129,14 +116,9 @@ void* TierArena::take(std::map<std::uint64_t, std::uint64_t>::iterator it,
   const std::uint64_t off = it->first;
   const std::uint64_t len = it->second;
   free_ranges_.erase(it);
-  erase_one_len(free_lens_, len);
-  if (at > off) {
-    free_ranges_.emplace(off, at - off);
-    free_lens_.insert(at - off);
-  }
+  if (at > off) free_ranges_.emplace(off, at - off);
   if (off + len > at + need) {
     free_ranges_.emplace(at + need, off + len - (at + need));
-    free_lens_.insert(off + len - (at + need));
   }
   live_.emplace(at, need);
   used_ += need;
@@ -163,7 +145,6 @@ std::uint64_t TierArena::free(void* p) {
   auto next = free_ranges_.lower_bound(off);
   if (next != free_ranges_.end() && off + len == next->first) {
     len += next->second;
-    erase_one_len(free_lens_, next->second);
     next = free_ranges_.erase(next);
   }
   std::uint64_t start = off;
@@ -172,12 +153,10 @@ std::uint64_t TierArena::free(void* p) {
     if (prev->first + prev->second == off) {
       start = prev->first;
       len += prev->second;
-      erase_one_len(free_lens_, prev->second);
       free_ranges_.erase(prev);
     }
   }
   free_ranges_.emplace(start, len);
-  free_lens_.insert(len);
   return freed;
 }
 
@@ -189,7 +168,9 @@ bool TierArena::owns(const void* p) const {
 }
 
 std::uint64_t TierArena::largest_free_range() const {
-  return free_lens_.empty() ? 0 : *free_lens_.rbegin();
+  std::uint64_t best = 0;
+  for (const auto& [off, len] : free_ranges_) best = std::max(best, len);
+  return best;
 }
 
 } // namespace hmr::mem

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -82,8 +81,7 @@ public:
   std::uint64_t live_allocations() const { return live_.size(); }
 
   /// Size of the largest single allocatable range (fragmentation
-  /// probe).  O(1): the free-range lengths are mirrored in an ordered
-  /// multiset maintained by alloc/free.
+  /// probe).  O(free ranges): a scan, kept off the alloc/free path.
   std::uint64_t largest_free_range() const;
 
   /// Total allocations served over the arena's lifetime.
@@ -112,11 +110,8 @@ private:
   Backing actual_backing_ = Backing::NewDelete;
   int bound_node_ = -1;
 
-  // Free ranges keyed by offset (ordered, for coalescing) -> length,
-  // plus a multiset of the same lengths so largest_free_range() is the
-  // max element instead of an O(ranges) scan.
+  // Free ranges keyed by offset (ordered, for coalescing) -> length.
   std::map<std::uint64_t, std::uint64_t> free_ranges_;
-  std::multiset<std::uint64_t> free_lens_;
   // Live allocations: offset -> length.
   std::unordered_map<std::uint64_t, std::uint64_t> live_;
 

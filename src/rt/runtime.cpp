@@ -14,13 +14,21 @@
 
 #include "telemetry/bridge.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace hmr::rt {
 
 namespace {
 
+/// Per-wakeup drain depth of the PE and IO loops: at most this many
+/// ready tasks, messages or migrations per wakeup.  A batch of
+/// arrivals or of finished migrations is one engine visit (one
+/// engine-lock acquisition on the serial engine); ready tasks are
+/// post-processed one by one, each right after its body, so its
+/// evictions overlap the next task's compute.
+constexpr std::size_t kIoBatch = 16;
+
 Runtime::Config normalized(Runtime::Config cfg) {
-  cfg.io_batch = std::max(1, cfg.io_batch);
   if (cfg.serve_port >= 0) cfg.metrics = true; // /metrics needs them
   return cfg;
 }
@@ -106,22 +114,12 @@ void pin_to_core(std::thread& t, int core) {
 #endif
 }
 
-std::vector<mem::MemoryManager::TierSpec> tier_specs(
-    const Runtime::Config& cfg) {
-  auto specs =
-      mem::MemoryManager::specs_from_model(cfg.model, cfg.mem_scale);
-  if (cfg.mmap_arenas) {
-    for (auto& spec : specs) spec.backing = mem::ArenaBacking::Mmap;
-  }
-  return specs;
-}
-
 } // namespace
 
 Runtime::Runtime(Config cfg)
     : cfg_(normalized(std::move(cfg))),
-      mm_(std::make_unique<mem::MemoryManager>(tier_specs(cfg_),
-                                               cfg_.memory_pool)),
+      mm_(std::make_unique<mem::MemoryManager>(
+          mem::MemoryManager::specs_from_model(cfg_.model, cfg_.mem_scale))),
       pending_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tasks_done_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tracer_(cfg_.trace, cfg_.trace_opts),
@@ -320,7 +318,6 @@ void Runtime::send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs) {
 
 void Runtime::pe_loop(int pe) {
   PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
-  const auto depth = static_cast<std::size_t>(cfg_.io_batch);
   std::vector<ReadyTask> tasks;
   std::vector<Msg> msgs;
   telemetry::Heartbeat& hb = pe_beats_[static_cast<std::size_t>(pe)];
@@ -341,7 +338,7 @@ void Runtime::pe_loop(int pe) {
       // batch amortizes the queue lock over it; a message batch also
       // shares one engine visit (one lock on the serial engine), while
       // each ready task is post-processed as soon as its body returns.
-      while (!w.run_q.empty() && tasks.size() < depth) {
+      while (!w.run_q.empty() && tasks.size() < kIoBatch) {
         tasks.push_back(std::move(w.run_q.front()));
         w.run_q.pop_front();
       }
@@ -349,7 +346,7 @@ void Runtime::pe_loop(int pe) {
         hub_.histograms().run_q_depth->observe(tasks.size() + w.run_q.size());
       }
       if (tasks.empty()) {
-        while (!w.msgs.empty() && msgs.size() < depth) {
+        while (!w.msgs.empty() && msgs.size() < kIoBatch) {
           msgs.push_back(std::move(w.msgs.front()));
           w.msgs.pop_front();
         }
@@ -369,7 +366,6 @@ void Runtime::pe_loop(int pe) {
 void Runtime::io_loop(int io) {
   IoWorker& w = *io_[static_cast<std::size_t>(io)];
   const int lane = cfg_.num_pes + io;
-  const auto depth = static_cast<std::size_t>(cfg_.io_batch);
   std::vector<ooc::Command> batch;
   telemetry::Heartbeat& hb = io_beats_[static_cast<std::size_t>(io)];
   for (;;) {
@@ -393,7 +389,7 @@ void Runtime::io_loop(int io) {
         });
       }
       if (w.cmds.empty()) return; // stop requested, queue drained
-      while (!w.cmds.empty() && batch.size() < depth) {
+      while (!w.cmds.empty() && batch.size() < kIoBatch) {
         batch.push_back(w.cmds.front());
         w.cmds.pop_front();
       }
@@ -1101,30 +1097,6 @@ void Runtime::start_introspection() {
       r.body = body.str();
       return r;
     });
-    // Cluster views come from caller-supplied JSON hooks; 404 unset.
-    const auto hook = [&srv](const char* path,
-                             const std::function<std::string()>& json,
-                             const char* missing) {
-      srv->route(path, [&json, missing](const Request&) {
-        Response r;
-        if (!json) {
-          r.status = 404;
-          r.body = missing;
-          return r;
-        }
-        r.content_type = "application/json";
-        r.body = json();
-        return r;
-      });
-    };
-    hook("/cluster", cfg_.cluster_json,
-         "no cluster attached (Config::cluster_json unset)\n");
-    hook("/cluster/metrics", cfg_.cluster_metrics_json,
-         "no federated metrics attached "
-         "(Config::cluster_metrics_json unset)\n");
-    hook("/cluster/attrib", cfg_.cluster_attrib_json,
-         "no federated attribution attached "
-         "(Config::cluster_attrib_json unset)\n");
     srv->route("/attrib", [this](const Request&) {
       Response r;
       r.content_type = "application/json";
@@ -1147,17 +1119,15 @@ void Runtime::start_introspection() {
         r.body = "usage: /blocks?id=<block id>\n";
         return r;
       }
-      char* end = nullptr;
-      const unsigned long long id =
-          std::strtoull(it->second.c_str(), &end, 10);
-      if (end == it->second.c_str() || *end != '\0') {
+      const auto id = parse_u64(it->second);
+      if (!id) {
         r.status = 400;
         r.body = "bad block id: " + it->second + "\n";
         return r;
       }
-      const auto hist = flight->history(static_cast<mem::BlockId>(id));
+      const auto hist = flight->history(static_cast<mem::BlockId>(*id));
       std::ostringstream body;
-      body << "{\"block\":" << id << ",\"transitions\":[";
+      body << "{\"block\":" << *id << ",\"transitions\":[";
       for (std::size_t i = 0; i < hist.size(); ++i) {
         if (i) body << ",";
         char tbuf[32];
@@ -1216,15 +1186,13 @@ void Runtime::start_introspection() {
       }
       std::vector<telemetry::DecisionLog::Record> recs;
       if (const auto it = rq.query.find("block"); it != rq.query.end()) {
-        char* end = nullptr;
-        const unsigned long long id =
-            std::strtoull(it->second.c_str(), &end, 10);
-        if (end == it->second.c_str() || *end != '\0') {
+        const auto id = parse_u64(it->second);
+        if (!id) {
           r.status = 400;
           r.body = "bad block id: " + it->second + "\n";
           return r;
         }
-        recs = decisions->snapshot_block(static_cast<mem::BlockId>(id));
+        recs = decisions->snapshot_block(static_cast<mem::BlockId>(*id));
       } else {
         recs = decisions->snapshot();
       }

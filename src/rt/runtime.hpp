@@ -79,11 +79,9 @@ public:
     bool eager_evict = true;
     bool evict_by_worker = false;
     bool writeonly_nocopy = false;
-    /// Pool freed tier buffers (paper §IV-C future-work optimization).
-    bool memory_pool = false;
     /// Record per-PE execution intervals.
     bool trace = false;
-    /// Tracer knobs (ring capacity, serial fallback).
+    /// Tracer knobs (per-lane ring capacity).
     trace::Tracer::Options trace_opts;
     /// Maintain a MetricsRegistry: latency/wait/queue-depth histograms
     /// updated inline, engine/lock/chunk counters mirrored at each
@@ -118,23 +116,12 @@ public:
     bool adaptive = false;
     adapt::ProfilerConfig profiler_cfg;
 
-    /// Per-wakeup drain depth of the PE and IO loops: at most this
-    /// many ready tasks, messages or migrations per wakeup.  A batch
-    /// of arrivals or of finished migrations is one engine visit (one
-    /// engine-lock acquisition on the serial engine); ready tasks are
-    /// post-processed one by one, each right after its body, so its
-    /// evictions overlap the next task's compute.
-    int io_batch = 16;
     /// Chunked cooperative migration: block copies of at least
     /// `chunk_threshold` bytes stream through the MemoryManager's
     /// ChunkRing in `chunk_bytes` pieces so idle IO threads can assist
     /// on one large transfer.  0 disables chunking.
     std::uint64_t chunk_threshold = 1ull << 20;
     std::uint64_t chunk_bytes = 256ull << 10;
-    /// Back tier arenas with mmap + MADV_HUGEPAGE instead of new[];
-    /// HMR_NUMA builds additionally bind each arena to its model
-    /// tier's numa_node.  Graceful fallback at every step.
-    bool mmap_arenas = false;
     /// Collect scheduler lock-contention counters (bench/rt_contention
     /// reads them via lock_stats()).
     bool lock_stats = false;
@@ -156,20 +143,10 @@ public:
     /// Status server port: -1 = off (default), 0 = any free loopback
     /// port (read it back with serve_port()), >0 = that port.  The
     /// server binds 127.0.0.1 only and serves /healthz, /metrics,
-    /// /status, /cluster and /blocks?id=N.  Enabling it forces
-    /// `metrics` on so /metrics has something to say.
+    /// /status, /tenants, /attrib, /blocks?id=N, /history and
+    /// /decisions.  Enabling it forces `metrics` on so /metrics has
+    /// something to say.
     int serve_port = -1;
-    /// /cluster route payload provider.  Kept as a plain callable so
-    /// rt does not link the cluster library: wire in
-    /// cluster::ClusterSim::to_json (or any JSON producer) after the
-    /// sim has run.  Unset, the route answers 404.
-    std::function<std::string()> cluster_json;
-    /// Same pattern for the federated cluster views: /cluster/metrics
-    /// (per-node + aggregate registry snapshots) and /cluster/attrib
-    /// (per-node stall attribution).  Wire in ClusterSim's
-    /// metrics_json / attrib_json after a run; unset = 404.
-    std::function<std::string()> cluster_metrics_json;
-    std::function<std::string()> cluster_attrib_json;
     /// Stall watchdog: a monitor thread that trips when outstanding
     /// work stops retiring (see telemetry::Watchdog).  Off by default
     /// so tests and benches stay byte-identical in output.

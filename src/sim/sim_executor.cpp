@@ -77,7 +77,7 @@ SimExecutor::SimExecutor(SimConfig cfg)
       engine_(engine_config(cfg_)),
       num_agents_(default_agents(cfg_)),
       hub_(hub_options(cfg_, [this] { return now_; })), // virtual seconds
-      tracer_(cfg_.trace, cfg_.trace_opts) {
+      tracer_(cfg_.trace) {
   pes_.resize(static_cast<std::size_t>(cfg_.model.num_pes));
   agents_.resize(static_cast<std::size_t>(num_agents_));
   const auto& m = cfg_.model;

@@ -76,8 +76,6 @@ struct SimConfig {
 
   /// Record a full interval trace (needed for figs 5/6 and timelines).
   bool trace = false;
-  /// Tracer knobs (ring capacity, deprecated serial fallback).
-  trace::Tracer::Options trace_opts;
 
   /// Caller-owned metrics registry (optional).  When set, the executor
   /// maintains latency/wait/queue-depth histograms in *virtual*

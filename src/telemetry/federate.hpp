@@ -9,7 +9,8 @@
 // per byte-share group and the group's metrics stand for every node
 // in it) and folds them into an aggregate snapshot: counters,
 // histogram buckets and gauges sum (weighted), snapshot time is the
-// max.  Serves /cluster/metrics and the hmr_top --cluster pane.
+// max.  ClusterSim::metrics_json()/attrib_json() write it out, and
+// hmr_top --cluster-file renders the per-node pane from that file.
 
 #include <cstdint>
 #include <ostream>

@@ -4,16 +4,16 @@
 #include <cstdlib>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace hmr::telemetry {
 
 std::size_t flight_depth_from_env(std::size_t fallback) {
   const char* env = std::getenv("HMR_FLIGHT_DEPTH");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return fallback; // not a number
-  return static_cast<std::size_t>(std::min(v, 1024ull));
+  const auto v = parse_u64(env);
+  if (!v) return fallback; // not a plain unsigned number
+  return static_cast<std::size_t>(std::min<std::uint64_t>(*v, 1024));
 }
 
 BlockFlightRecorder::BlockFlightRecorder(std::size_t depth)

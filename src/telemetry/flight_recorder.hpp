@@ -29,7 +29,8 @@ namespace hmr::telemetry {
 
 /// Flight-recorder depth from the environment: HMR_FLIGHT_DEPTH
 /// overrides `fallback` (the executor's Config value), clamped to
-/// [0, 1024] — 0 disables the recorder entirely.  Unset or unparsable,
+/// [0, 1024] — 0 disables the recorder entirely.  Unset, or anything
+/// but plain decimal digits that fit 64 bits (no sign, no blanks),
 /// `fallback` stands.  Lets operators deepen (or silence) the ring on
 /// a deployed binary without a rebuild.
 std::size_t flight_depth_from_env(std::size_t fallback);

@@ -124,7 +124,7 @@ private:
 
 /// Lazily-created per-lane rings.  Lane creation is a one-time CAS on
 /// the lane's pointer slot; lanes beyond kMaxLanes get nullptr and the
-/// caller falls back to its serial path.
+/// caller records them under its own consumer mutex instead.
 template <class T>
 class LaneRings {
 public:

@@ -11,9 +11,7 @@
 namespace hmr::trace {
 
 Tracer::Tracer(bool enabled, const Options& opt)
-    : enabled_(enabled),
-      serial_(opt.serial),
-      rings_(opt.ring_capacity) {}
+    : enabled_(enabled), rings_(opt.ring_capacity) {}
 
 const char* category_name(Category c) {
   switch (c) {
@@ -25,6 +23,16 @@ const char* category_name(Category c) {
     case Category::Idle: return "idle";
   }
   return "?";
+}
+
+bool parse_category(std::string_view name, Category& out) {
+  for (int c = 0; c < 6; ++c) {
+    if (name == category_name(static_cast<Category>(c))) {
+      out = static_cast<Category>(c);
+      return true;
+    }
+  }
+  return false;
 }
 
 char category_glyph(Category c) {
@@ -58,13 +66,11 @@ double TraceSummary::overhead_fraction() const {
 }
 
 void Tracer::push(const Interval& iv) {
-  if (!serial_) {
-    if (telemetry::EventRing<Interval>* ring = rings_.lane(iv.lane)) {
-      ring->try_push(iv); // full ring: drop, counted in the ring
-      return;
-    }
-    // Lane id beyond the ring table: fall through to the serial path.
+  if (telemetry::EventRing<Interval>* ring = rings_.lane(iv.lane)) {
+    ring->try_push(iv); // full ring: drop, counted in the ring
+    return;
   }
+  // Lane id beyond the ring table: record under the consumer mutex.
   std::lock_guard lock(mu_);
   log_.push_back(iv);
 }
@@ -75,10 +81,7 @@ void Tracer::drain_locked() const {
 
 void Tracer::record(std::int32_t lane, Category cat, double start,
                     double end, std::uint64_t task) {
-  if (!enabled_) return;
-  HMR_CHECK_MSG(end >= start, "interval ends before it starts");
-  if (end == start) return; // zero-width intervals carry no information
-  push({lane, cat, start, end, task, 0, 0, 0});
+  record_migration(lane, cat, start, end, task, 0, 0, 0);
 }
 
 void Tracer::record_migration(std::int32_t lane, Category cat, double start,
@@ -107,68 +110,23 @@ void add_pair_traffic(PairMap& acc, const Interval& iv, double seconds,
   t.seconds += seconds;
 }
 
-std::vector<TraceSummary::TierPairTraffic> pair_vector(const PairMap& acc) {
-  std::vector<TraceSummary::TierPairTraffic> out;
-  out.reserve(acc.size());
-  for (const auto& [key, t] : acc) out.push_back(t);
-  return out;
-}
-
 } // namespace
 
-std::vector<Interval> Tracer::intervals() const {
-  std::vector<Interval> out;
-  {
-    std::lock_guard lock(mu_);
-    drain_locked();
-    out = log_;
-  }
-  std::sort(out.begin(), out.end(), [](const Interval& a, const Interval& b) {
+void sort_intervals(std::vector<Interval>& ivs) {
+  std::sort(ivs.begin(), ivs.end(), [](const Interval& a, const Interval& b) {
     if (a.lane != b.lane) return a.lane < b.lane;
     return a.start < b.start;
   });
-  return out;
 }
 
-TraceSummary Tracer::summarize(std::int32_t worker_lanes) const {
-  TraceSummary s;
-  std::lock_guard lock(mu_);
-  drain_locked();
-  PairMap pairs;
-  double lo = 0, hi = 0;
-  bool first = true;
-  for (const auto& iv : log_) {
-    if (worker_lanes >= 0 && iv.lane >= worker_lanes) continue;
-    if (first) {
-      lo = iv.start;
-      hi = iv.end;
-      first = false;
-    } else {
-      lo = std::min(lo, iv.start);
-      hi = std::max(hi, iv.end);
-    }
-    s.lanes = std::max(s.lanes, iv.lane + 1);
-    s.total[static_cast<int>(iv.cat)] += iv.end - iv.start;
-    s.count[static_cast<int>(iv.cat)] += 1;
-    if (iv.bytes > 0) add_pair_traffic(pairs, iv, iv.end - iv.start, 1.0);
-  }
-  s.span = first ? 0 : hi - lo;
-  s.migrations = pair_vector(pairs);
-  s.dropped = rings_.dropped();
-  s.ring_fallbacks = copy_fallbacks();
-  return s;
-}
-
-TraceSummary Tracer::summarize(std::int32_t worker_lanes, double t0,
-                               double t1) const {
+TraceSummary summarize(const std::vector<Interval>& ivs,
+                       std::int32_t worker_lanes, double t0, double t1) {
   HMR_CHECK(t1 >= t0);
   TraceSummary s;
-  std::lock_guard lock(mu_);
-  drain_locked();
   PairMap pairs;
   double lo = 0, hi = 0;
   bool first = true;
-  for (const auto& iv : log_) {
+  for (const auto& iv : ivs) {
     if (worker_lanes >= 0 && iv.lane >= worker_lanes) continue;
     const double start = std::max(iv.start, t0);
     const double end = std::min(iv.end, t1);
@@ -190,7 +148,26 @@ TraceSummary Tracer::summarize(std::int32_t worker_lanes, double t0,
     }
   }
   s.span = first ? 0 : hi - lo;
-  s.migrations = pair_vector(pairs);
+  for (const auto& [key, t] : pairs) s.migrations.push_back(t);
+  return s;
+}
+
+std::vector<Interval> Tracer::intervals() const {
+  std::vector<Interval> out;
+  {
+    std::lock_guard lock(mu_);
+    drain_locked();
+    out = log_;
+  }
+  sort_intervals(out);
+  return out;
+}
+
+TraceSummary Tracer::summarize(std::int32_t worker_lanes, double t0,
+                               double t1) const {
+  std::lock_guard lock(mu_);
+  drain_locked();
+  TraceSummary s = trace::summarize(log_, worker_lanes, t0, t1);
   s.dropped = rings_.dropped();
   s.ring_fallbacks = copy_fallbacks();
   return s;
@@ -247,6 +224,70 @@ void Tracer::write_csv(std::ostream& os) const {
   os << "# ring_fallbacks=" << copy_fallbacks() << "\n";
 }
 
+CsvTrace read_csv(std::istream& is) {
+  CsvTrace out;
+  const auto fail = [&out](std::size_t lineno, std::string what) {
+    out.error = std::move(what);
+    out.error_line = lineno;
+    return out;
+  };
+  std::string line;
+  if (!std::getline(is, line)) return fail(0, "empty input");
+  // write_csv quotes nothing, so a plain split is a full parser.
+  if (csv_split(line) !=
+      std::vector<std::string>{"lane", "category", "start", "end", "task",
+                               "src_tier", "dst_tier", "bytes"}) {
+    return fail(1, "unrecognized header: " + line);
+  }
+  for (std::size_t lineno = 2; std::getline(is, line); ++lineno) {
+    if (line.empty()) continue;
+    if (line[0] == '#') {
+      // Match the longer key first: "ring_fallbacks=" does not
+      // contain "dropped=".
+      try {
+        if (const auto rf = line.find("ring_fallbacks=");
+            rf != std::string::npos) {
+          out.ring_fallbacks = std::stoull(line.substr(rf + 15));
+        } else if (const auto eq = line.find("dropped=");
+                   eq != std::string::npos) {
+          out.dropped = std::stoull(line.substr(eq + 8));
+        }
+      } catch (const std::exception&) {
+        return fail(lineno, "bad comment at line " + std::to_string(lineno));
+      }
+      continue;
+    }
+    const auto f = csv_split(line);
+    Interval iv;
+    bool ok = f.size() == 8 && parse_category(f[1], iv.cat);
+    try {
+      if (ok) {
+        iv.lane = std::stoi(f[0]);
+        iv.start = std::stod(f[2]);
+        iv.end = std::stod(f[3]);
+        iv.task = std::stoull(f[4]);
+        iv.src_tier = static_cast<std::uint32_t>(std::stoul(f[5]));
+        iv.dst_tier = static_cast<std::uint32_t>(std::stoul(f[6]));
+        iv.bytes = std::stoull(f[7]);
+      }
+    } catch (const std::exception&) {
+      ok = false;
+    }
+    if (!ok || iv.end < iv.start) { // a tracer never writes end < start
+      return fail(lineno, "bad row at line " + std::to_string(lineno));
+    }
+    out.intervals.push_back(iv);
+  }
+  return out;
+}
+
+std::string dropped_warning(std::uint64_t dropped) {
+  return "WARNING: " + std::to_string(dropped) +
+         " events were dropped at record time (ring full) -- every figure "
+         "above undercounts.  Re-run with a larger "
+         "Tracer::Options::ring_capacity or drain more often.";
+}
+
 void Tracer::write_chrome_trace(std::ostream& os) const {
   os << "[";
   bool first = true;
@@ -268,8 +309,12 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
 
 void Tracer::ascii_timeline(std::ostream& os, int width, double t0,
                             double t1) const {
+  trace::ascii_timeline(os, intervals(), width, t0, t1);
+}
+
+void ascii_timeline(std::ostream& os, const std::vector<Interval>& ivs,
+                    int width, double t0, double t1) {
   HMR_CHECK(width > 0 && t1 > t0);
-  const auto ivs = intervals();
   std::int32_t max_lane = -1;
   for (const auto& iv : ivs) max_lane = std::max(max_lane, iv.lane);
   if (max_lane < 0) return;

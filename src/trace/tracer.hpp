@@ -14,15 +14,22 @@
 // Recording goes through lock-free per-lane rings
 // (telemetry::EventRing) so the hot path never takes a mutex; every
 // reader (intervals, summaries, renders) drains the rings into the
-// interval log first, under the tracer's single consumer mutex.  The
-// old mutex + push_back path survives only as the Options::serial
-// fallback.
+// interval log first, under the tracer's single consumer mutex.  Only
+// lanes beyond the ring table (LaneRings::kMaxLanes) record into the
+// log under that mutex.
+//
+// The summaries and the timeline render are plain functions of an
+// interval vector, so offline tools (tools/hmr_trace) run the same
+// code on a trace read back with read_csv().
 
 #include <atomic>
 #include <cstdint>
+#include <istream>
+#include <limits>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/ring.hpp"
@@ -40,6 +47,8 @@ enum class Category : std::uint8_t {
 };
 
 const char* category_name(Category c);
+/// Inverse of category_name; false for any other string.
+bool parse_category(std::string_view name, Category& out);
 char category_glyph(Category c);
 
 struct Interval {
@@ -53,6 +62,8 @@ struct Interval {
   std::uint32_t src_tier = 0;
   std::uint32_t dst_tier = 0;
   std::uint64_t bytes = 0;
+
+  friend bool operator==(const Interval&, const Interval&) = default;
 };
 
 /// Aggregated view of a trace.
@@ -100,6 +111,49 @@ struct TraceSummary {
   double overhead_fraction() const;
 };
 
+inline constexpr double kForever = std::numeric_limits<double>::infinity();
+
+/// Aggregate totals over `ivs` (dropped and ring_fallbacks stay 0: the
+/// caller knows them).  `worker_lanes` restricts the summary to lanes
+/// < worker_lanes (< 0 means all lanes).  Intervals are clipped to the
+/// window [t0, t1), so per-phase summaries can be cut from one running
+/// trace (the adaptive governor's per-phase wait fraction comes from
+/// this); intervals with end <= start carry no time and are skipped.
+TraceSummary summarize(const std::vector<Interval>& ivs,
+                       std::int32_t worker_lanes = -1,
+                       double t0 = -kForever, double t1 = kForever);
+
+/// ASCII timeline: one row per lane, `width` character buckets over
+/// [t0, t1]; each bucket shows the glyph of the category occupying
+/// the largest share of the bucket.
+void ascii_timeline(std::ostream& os, const std::vector<Interval>& ivs,
+                    int width, double t0, double t1);
+
+/// Order intervals by (lane, start), the order Tracer::intervals()
+/// and write_csv() use.
+void sort_intervals(std::vector<Interval>& ivs);
+
+/// A trace read back from a Tracer::write_csv dump.
+struct CsvTrace {
+  /// Rows in file order, as written (zero-width rows included).
+  std::vector<Interval> intervals;
+  /// The "# dropped=N" and "# ring_fallbacks=N" trailers (0 if absent).
+  std::uint64_t dropped = 0;
+  std::uint64_t ring_fallbacks = 0;
+  /// Empty when the whole input parsed; otherwise what was wrong, e.g.
+  /// "bad row at line 7", and the 1-based line (0 for an empty input).
+  std::string error;
+  std::size_t error_line = 0;
+};
+
+/// Parse a write_csv dump: the header, one row per interval, '#'
+/// comment lines (the trailers above; other comments are ignored).
+/// Stops at the first bad line.
+CsvTrace read_csv(std::istream& is);
+
+/// Warning text for a trace that lost `dropped` events at record time.
+std::string dropped_warning(std::uint64_t dropped);
+
 class Tracer {
 public:
   struct Options {
@@ -108,9 +162,6 @@ public:
     /// drain; any reader drains, so size for the longest stretch of
     /// recording between reads.
     std::size_t ring_capacity = 1 << 14;
-    /// Serial path: record under the global mutex into the log
-    /// directly, exactly the pre-ring behaviour.
-    bool serial = false;
   };
 
   explicit Tracer(bool enabled = true) : Tracer(enabled, Options{}) {}
@@ -146,15 +197,10 @@ public:
   /// All intervals, ordered by (lane, start).  Takes a snapshot.
   std::vector<Interval> intervals() const;
 
-  /// Aggregate totals.  `worker_lanes` restricts the summary to lanes
-  /// < worker_lanes (< 0 means all lanes).
-  TraceSummary summarize(std::int32_t worker_lanes = -1) const;
-
-  /// Windowed summary over [t0, t1): intervals are clipped to the
-  /// window, so per-phase summaries can be cut from one running trace
-  /// (the adaptive governor's per-phase wait fraction comes from this).
-  TraceSummary summarize(std::int32_t worker_lanes, double t0,
-                         double t1) const;
+  /// trace::summarize over the recorded intervals, with this tracer's
+  /// dropped() and copy_fallbacks() filled in.
+  TraceSummary summarize(std::int32_t worker_lanes = -1,
+                         double t0 = -kForever, double t1 = kForever) const;
 
   /// Idle time is usually implicit (gaps between intervals).  This
   /// fills each lane's gaps within [t0, t1] with explicit Idle
@@ -162,16 +208,15 @@ public:
   void fill_idle(double t0, double t1);
 
   /// CSV dump: lane,category,start,end,task,src_tier,dst_tier,bytes
-  /// (tier columns are meaningful on rows with bytes > 0).
+  /// (tier columns are meaningful on rows with bytes > 0), then the
+  /// dropped and ring_fallbacks trailers.  read_csv() parses it.
   void write_csv(std::ostream& os) const;
 
   /// Chrome trace-event JSON (open in chrome://tracing or Perfetto):
   /// one complete ("X") event per interval, lanes as tids.
   void write_chrome_trace(std::ostream& os) const;
 
-  /// ASCII timeline: one row per lane, `width` character buckets over
-  /// [t0, t1]; each bucket shows the glyph of the category occupying
-  /// the largest share of the bucket.
+  /// trace::ascii_timeline over the recorded intervals.
   void ascii_timeline(std::ostream& os, int width, double t0,
                       double t1) const;
 
@@ -183,7 +228,6 @@ private:
   void drain_locked() const;
 
   bool enabled_;
-  bool serial_;
   std::atomic<std::uint64_t> copy_fallbacks_{0};
   mutable telemetry::LaneRings<Interval> rings_;
   mutable std::mutex mu_;

@@ -21,6 +21,18 @@ std::string csv_escape(std::string_view v) {
   return out;
 }
 
+std::vector<std::string> csv_split(std::string_view line) {
+  std::vector<std::string> out(1);
+  for (const char ch : line) {
+    if (ch == ',') {
+      out.emplace_back();
+    } else if (ch != '\r') {
+      out.back().push_back(ch);
+    }
+  }
+  return out;
+}
+
 void CsvWriter::header(const std::vector<std::string>& columns) {
   HMR_CHECK_MSG(n_columns_ == 0, "CSV header written twice");
   HMR_CHECK(!columns.empty());

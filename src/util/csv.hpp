@@ -39,4 +39,8 @@ private:
 /// Escape a single CSV value (quotes values containing , " or newline).
 std::string csv_escape(std::string_view v);
 
+/// Split one line of a CSV with no quoted fields on its commas, dropping
+/// any '\r' (a CRLF file).
+std::vector<std::string> csv_split(std::string_view line);
+
 } // namespace hmr

@@ -1,6 +1,6 @@
-// Golden-file tests for the CLI tools (tools/hmr_trace,
-// tools/hmr_bench_diff), driven through popen the way a user or a CI
-// step would run them.  The binaries' paths and the golden directory
+// Golden-file tests for the CLI tools (tools/hmr_trace, hmr_explain,
+// hmr_top and hmr_bench_diff), driven through popen the way a user or
+// a CI step would run them.  The binaries' paths and the golden directory
 // arrive as compile definitions from tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
@@ -188,6 +188,21 @@ TEST(HmrExplain, JsonOutputCarriesVerdictAndPairs) {
       << r.output;
   EXPECT_NE(r.output.find("\"pairs\":["), std::string::npos);
   EXPECT_NE(r.output.find("\"makespan_s\":10.5"), std::string::npos);
+}
+
+TEST(HmrExplain, DroppedTrailerWarns) {
+  const RunResult err = run(
+      in_golden_dir(std::string("'") + HMR_EXPLAIN_TOOL +
+                    "' --in trace_drops.csv 2>&1 1>/dev/null"));
+  EXPECT_EQ(err.exit_code, 0); // a lossy trace still gets its report
+  EXPECT_NE(err.output.find("hmr_explain: WARNING: 7 events were dropped"),
+            std::string::npos)
+      << err.output;
+  // A clean trace stays silent.
+  const RunResult clean = run(
+      in_golden_dir(std::string("'") + HMR_EXPLAIN_TOOL +
+                    "' --in trace_small.csv 2>&1 1>/dev/null"));
+  EXPECT_EQ(clean.output, "");
 }
 
 TEST(HmrExplain, RequiresExactlyOneInput) {

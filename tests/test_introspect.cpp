@@ -360,24 +360,6 @@ TEST(RuntimeIntrospect, StatusEndpointsEndToEnd) {
             std::string::npos);
   EXPECT_NE(http_get(rt.serve_port(), "/blocks?id=junk").find("400"),
             std::string::npos);
-
-  // No cluster sim attached: the route exists but answers 404.
-  EXPECT_NE(http_get(rt.serve_port(), "/cluster").find("404"),
-            std::string::npos);
-}
-
-TEST(RuntimeIntrospect, ClusterRouteServesAttachedSnapshot) {
-  auto cfg = busy_config();
-  cfg.serve_port = 0;
-  cfg.cluster_json = [] {
-    return std::string("{\"nodes\":4,\"halo_messages\":42}");
-  };
-  rt::Runtime rt(cfg);
-  ASSERT_NE(rt.serve_port(), 0);
-  const std::string resp = http_get(rt.serve_port(), "/cluster");
-  EXPECT_NE(resp.find("200 OK"), std::string::npos);
-  EXPECT_NE(resp.find("application/json"), std::string::npos);
-  EXPECT_NE(resp.find("\"halo_messages\":42"), std::string::npos);
 }
 
 TEST(RuntimeIntrospect, AttribRouteServesStallDecomposition) {
@@ -421,34 +403,29 @@ TEST(RuntimeIntrospect, HistoryRejectsMalformedWindow) {
   }
 }
 
-TEST(RuntimeIntrospect, ClusterMetricsRoutesServeAttachedFederation) {
-  // Unset providers answer 404 with a wiring hint...
-  {
-    auto cfg = busy_config();
-    cfg.serve_port = 0;
-    rt::Runtime rt(cfg);
-    EXPECT_NE(http_get(rt.serve_port(), "/cluster/metrics")
-                  .find("no federated metrics attached"),
-              std::string::npos);
-    EXPECT_NE(http_get(rt.serve_port(), "/cluster/attrib").find("404"),
-              std::string::npos);
-  }
-  // ...and wired providers serve their payload verbatim.
+TEST(RuntimeIntrospect, BlockIdsMustBePlainDigits) {
   auto cfg = busy_config();
   cfg.serve_port = 0;
-  cfg.cluster_metrics_json = [] {
-    return std::string("{\"total_nodes\":4,\"nodes\":[]}\n");
-  };
-  cfg.cluster_attrib_json = [] {
-    return std::string("{\"total_nodes\":4,\"nodes\":[{\"node\":\"n0\"}]}\n");
-  };
+  cfg.adaptive = true; // /decisions needs the decision log
   rt::Runtime rt(cfg);
-  const std::string metrics = http_get(rt.serve_port(), "/cluster/metrics");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("\"total_nodes\":4"), std::string::npos);
-  const std::string attrib = http_get(rt.serve_port(), "/cluster/attrib");
-  EXPECT_NE(attrib.find("200 OK"), std::string::npos);
-  EXPECT_NE(attrib.find("\"node\":\"n0\""), std::string::npos);
+  ASSERT_NE(rt.serve_port(), 0);
+  run_migrating_workload(rt, /*rounds=*/1);
+
+  EXPECT_NE(http_get(rt.serve_port(), "/blocks?id=0").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(http_get(rt.serve_port(), "/decisions?block=0").find("200 OK"),
+            std::string::npos);
+  // strtoull negates "-1", skips blanks and saturates on overflow; the
+  // routes must not.  %2B and %20 decode to '+' and ' '.
+  for (const char* bad :
+       {"-1", "%2B1", "%201", "99999999999999999999999"}) {
+    for (const std::string route : {"/blocks?id=", "/decisions?block="}) {
+      const std::string resp = http_get(rt.serve_port(), route + bad);
+      EXPECT_NE(resp.find("400"), std::string::npos) << route << bad;
+      EXPECT_NE(resp.find("bad block id"), std::string::npos)
+          << route << bad;
+    }
+  }
 }
 
 TEST(RuntimeIntrospect, WatchdogSilentOnHealthyRun) {

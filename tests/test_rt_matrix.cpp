@@ -1,7 +1,7 @@
 // Configuration-matrix sweep of the threaded runtime: every scheduling
-// strategy crossed with eviction mode, buffer pooling and the
-// write-only no-copy optimization, all validated on a data-integrity
-// workload with real migration.
+// strategy crossed with eviction mode and the write-only no-copy
+// optimization, all validated on a data-integrity workload with real
+// migration.
 
 #include <gtest/gtest.h>
 
@@ -15,14 +15,13 @@
 namespace hmr::rt {
 namespace {
 
-using MatrixParam = std::tuple<ooc::Strategy, bool /*eager*/,
-                               bool /*pool*/, bool /*nocopy*/>;
+using MatrixParam =
+    std::tuple<ooc::Strategy, bool /*eager*/, bool /*nocopy*/>;
 
 std::string matrix_name(const ::testing::TestParamInfo<MatrixParam>& info) {
-  const auto& [s, eager, pool, nocopy] = info.param;
+  const auto& [s, eager, nocopy] = info.param;
   std::string n = ooc::strategy_name(s);
   n += eager ? "_eager" : "_lazy";
-  if (pool) n += "_pool";
   if (nocopy) n += "_nocopy";
   return n;
 }
@@ -30,13 +29,12 @@ std::string matrix_name(const ::testing::TestParamInfo<MatrixParam>& info) {
 class RtMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(RtMatrix, PipelineComputesCorrectly) {
-  const auto& [strategy, eager, pool, nocopy] = GetParam();
+  const auto& [strategy, eager, nocopy] = GetParam();
   Runtime::Config cfg;
   cfg.strategy = strategy;
   cfg.num_pes = 3;
   cfg.mem_scale = 1.0 / 8192; // 2 MiB fast tier
   cfg.eager_evict = eager;
-  cfg.memory_pool = pool;
   cfg.writeonly_nocopy = nocopy;
   Runtime rt(cfg);
 
@@ -108,7 +106,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ooc::Strategy::Naive, ooc::Strategy::SingleIo,
                           ooc::Strategy::SyncNoIo, ooc::Strategy::MultiIo),
         ::testing::Bool(),  // eager / lazy eviction
-        ::testing::Bool(),  // buffer pool
         ::testing::Bool()), // writeonly_nocopy
     matrix_name);
 

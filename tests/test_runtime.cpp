@@ -143,30 +143,6 @@ TEST(Runtime, NaivePlacementPacksFastTierFirst) {
   EXPECT_EQ(rt.memory().block_tier(h3.id()), cfg.model.slow);
 }
 
-TEST(Runtime, MemoryPoolOptionWorks) {
-  auto cfg = small_config(ooc::Strategy::MultiIo);
-  cfg.memory_pool = true;
-  Runtime rt(cfg);
-  std::atomic<int> runs{0};
-  for (int t = 0; t < 8; ++t) {
-    // A fresh block each round, freed at its end.  One block moving
-    // back and forth never reallocates (its eviction defers, its fetch
-    // back swaps), so the recycling shows across blocks: the next
-    // round's registration and fetch reuse the buffers this one parks.
-    IoHandle<double> h(rt, 64 * KiB);
-    rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadWrite)},
-                     [&runs] { runs.fetch_add(1); });
-    rt.wait_idle();
-    rt.free_block(h.id());
-  }
-  EXPECT_EQ(runs.load(), 8);
-  // Migration buffers got recycled through the pool.
-  const auto& mm = rt.memory();
-  EXPECT_GT(mm.pool_stats(cfg.model.fast).hits +
-                mm.pool_stats(cfg.model.slow).hits,
-            0u);
-}
-
 TEST(Runtime, SharedReadOnlyBlockRefcounting) {
   Runtime rt(small_config(ooc::Strategy::MultiIo, /*pes=*/4));
   IoHandle<double> shared(rt, 64 * KiB);

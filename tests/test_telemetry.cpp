@@ -153,63 +153,6 @@ Interval make_iv(std::int32_t lane, Category cat, double start,
   return iv;
 }
 
-std::vector<Interval> mixed_intervals() {
-  std::vector<Interval> ivs;
-  std::mt19937 rng(7);
-  std::uniform_int_distribution<int> lane(0, 5);
-  std::uniform_real_distribution<double> len(1e-4, 1e-2);
-  double t = 0;
-  for (int i = 0; i < 200; ++i) {
-    const double d = len(rng);
-    const auto cat = static_cast<Category>(i % 5); // no Idle
-    ivs.push_back(make_iv(lane(rng), cat, t, t + d,
-                          cat == Category::Compute ? 1 + i % 17 : 0,
-                          /*src=*/1, /*dst=*/0,
-                          cat == Category::Prefetch ? 4096u : 0u));
-    t += d * 0.5;
-  }
-  return ivs;
-}
-
-TEST(TelemetryTracer, RingAndSerialPathsAgree) {
-  trace::Tracer::Options serial_opt;
-  serial_opt.serial = true;
-  trace::Tracer ring_tracer(true);
-  trace::Tracer serial_tracer(true, serial_opt);
-
-  for (const auto& iv : mixed_intervals()) {
-    ring_tracer.record_migration(iv.lane, iv.cat, iv.start, iv.end,
-                                 iv.task, iv.src_tier, iv.dst_tier,
-                                 iv.bytes);
-    serial_tracer.record_migration(iv.lane, iv.cat, iv.start, iv.end,
-                                   iv.task, iv.src_tier, iv.dst_tier,
-                                   iv.bytes);
-  }
-  EXPECT_EQ(ring_tracer.dropped(), 0u);
-
-  const auto a = ring_tracer.intervals();
-  const auto b = serial_tracer.intervals();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].lane, b[i].lane);
-    EXPECT_EQ(static_cast<int>(a[i].cat), static_cast<int>(b[i].cat));
-    EXPECT_DOUBLE_EQ(a[i].start, b[i].start);
-    EXPECT_DOUBLE_EQ(a[i].end, b[i].end);
-    EXPECT_EQ(a[i].task, b[i].task);
-    EXPECT_EQ(a[i].bytes, b[i].bytes);
-  }
-
-  const auto sa = ring_tracer.summarize();
-  const auto sb = serial_tracer.summarize();
-  for (int c = 0; c < 6; ++c) {
-    const auto cat = static_cast<Category>(c);
-    EXPECT_DOUBLE_EQ(sa.total_of(cat), sb.total_of(cat));
-    EXPECT_EQ(sa.count_of(cat), sb.count_of(cat));
-  }
-  EXPECT_EQ(sa.migration_between(1, 0).bytes,
-            sb.migration_between(1, 0).bytes);
-}
-
 TEST(TelemetryTracer, FullRingDropsAndCountsWithoutBlocking) {
   trace::Tracer::Options opt;
   opt.ring_capacity = 8;
@@ -686,6 +629,22 @@ TEST(TelemetryPerfetto, FlowIdsAreUniqueAndPairedUnderRandomTraces) {
 }
 
 // ------------------------------------------------------ flight recorder
+
+TEST(TelemetryFlight, DepthFromEnvTakesOnlyPlainDigits) {
+  ::setenv("HMR_FLIGHT_DEPTH", "16", 1);
+  EXPECT_EQ(telemetry::flight_depth_from_env(8), 16u);
+  ::setenv("HMR_FLIGHT_DEPTH", "5000", 1);
+  EXPECT_EQ(telemetry::flight_depth_from_env(8), 1024u); // clamped
+  // strtoull would read "-5" as 2^64 - 5 (clamped to 1024) and
+  // saturate the overflow; both must fall back instead.
+  for (const char* bad : {"-5", "+5", " 5", "99999999999999999999999",
+                          "junk"}) {
+    ::setenv("HMR_FLIGHT_DEPTH", bad, 1);
+    EXPECT_EQ(telemetry::flight_depth_from_env(8), 8u) << bad;
+  }
+  ::unsetenv("HMR_FLIGHT_DEPTH");
+  EXPECT_EQ(telemetry::flight_depth_from_env(8), 8u);
+}
 
 TEST(TelemetryFlight, KeepsLastNTransitionsOldestFirst) {
   telemetry::BlockFlightRecorder fr(/*depth=*/3);

@@ -82,6 +82,58 @@ TEST(Tracer, CsvHasHeaderAndRows) {
   EXPECT_NE(out.find("0,compute,0,1.5,42"), std::string::npos);
 }
 
+TEST(Tracer, CsvRoundTripsIntervalsAndTrailers) {
+  Tracer::Options opt;
+  opt.ring_capacity = 8; // the minimum: lane 0 overflows below
+  Tracer t(true, opt);
+  for (int i = 0; i < 12; ++i) {
+    t.record(0, Category::Compute, 0.25 * i, 0.25 * i + 0.125,
+             static_cast<std::uint64_t>(i));
+  }
+  t.record_migration(3, Category::Prefetch, 1.5, 2.0625, 1ull << 40,
+                     /*src=*/2, /*dst=*/0, /*bytes=*/3ull << 30);
+  t.record(1, Category::Wait, 0.5, 0.75);
+  t.note_copy_fallbacks(5);
+  ASSERT_GT(t.dropped(), 0u);
+
+  std::stringstream csv;
+  t.write_csv(csv);
+  const CsvTrace back = read_csv(csv);
+  EXPECT_EQ(back.error, "");
+  EXPECT_EQ(back.intervals, t.intervals());
+  EXPECT_EQ(back.dropped, t.dropped());
+  EXPECT_EQ(back.ring_fallbacks, 5u);
+}
+
+TEST(Tracer, CsvReaderNamesTheBadLine) {
+  const auto read = [](const std::string& text) {
+    std::istringstream is(text);
+    return read_csv(is);
+  };
+  const std::string header =
+      "lane,category,start,end,task,src_tier,dst_tier,bytes\n";
+  EXPECT_EQ(read("").error, "empty input");
+  EXPECT_EQ(read("lane,start\n").error, "unrecognized header: lane,start");
+  EXPECT_EQ(read("lane,start\n").error_line, 1u);
+
+  const CsvTrace bad =
+      read(header + "0,compute,0,1,1,0,0,0\n\n0,compute,zero,1,1,0,0,0\n");
+  EXPECT_EQ(bad.error, "bad row at line 4");
+  EXPECT_EQ(bad.error_line, 4u);
+  EXPECT_EQ(read(header + "0,nap,0,1,1,0,0,0\n").error,
+            "bad row at line 2");
+  EXPECT_EQ(read(header + "0,compute,2,1,1,0,0,0\n").error,
+            "bad row at line 2"); // ends before it starts
+  EXPECT_EQ(read(header + "# dropped=x\n").error, "bad comment at line 2");
+
+  // Zero-width rows and unknown comments pass through.
+  const CsvTrace ok =
+      read(header + "# note\n0,compute,1,1,1,0,0,0\n# dropped=3\n");
+  EXPECT_EQ(ok.error, "");
+  EXPECT_EQ(ok.intervals.size(), 1u);
+  EXPECT_EQ(ok.dropped, 3u);
+}
+
 TEST(Tracer, AsciiTimelineShowsDominantCategory) {
   Tracer t;
   t.record(0, Category::Compute, 0.0, 5.0);

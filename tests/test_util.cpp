@@ -8,6 +8,7 @@
 
 #include "util/argparse.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -15,6 +16,18 @@
 
 namespace hmr {
 namespace {
+
+TEST(ParseU64, DigitsOnly) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  // strtoull accepts every one of these; parse_u64 rejects them.
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                          "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
+}
 
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;

@@ -33,71 +33,6 @@ namespace {
 using hmr::trace::Category;
 using hmr::trace::Interval;
 
-bool parse_category(const std::string& s, Category& out) {
-  for (int c = 0; c < 6; ++c) {
-    if (s == hmr::trace::category_name(static_cast<Category>(c))) {
-      out = static_cast<Category>(c);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char ch : line) {
-    if (ch == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else if (ch != '\r') {
-      cur.push_back(ch);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool read_csv(std::istream& is, std::vector<Interval>& out) {
-  std::string line;
-  if (!std::getline(is, line)) {
-    std::fprintf(stderr, "hmr_explain: empty input\n");
-    return false;
-  }
-  if (split(line) !=
-      std::vector<std::string>{"lane", "category", "start", "end", "task",
-                               "src_tier", "dst_tier", "bytes"}) {
-    std::fprintf(stderr, "hmr_explain: unrecognized header: %s\n",
-                 line.c_str());
-    return false;
-  }
-  std::size_t lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const auto f = split(line);
-    Interval iv;
-    if (f.size() != 8 || !parse_category(f[1], iv.cat)) {
-      std::fprintf(stderr, "hmr_explain: bad row at line %zu\n", lineno);
-      return false;
-    }
-    try {
-      iv.lane = std::stoi(f[0]);
-      iv.start = std::stod(f[2]);
-      iv.end = std::stod(f[3]);
-      iv.task = std::stoull(f[4]);
-      iv.src_tier = static_cast<std::uint32_t>(std::stoul(f[5]));
-      iv.dst_tier = static_cast<std::uint32_t>(std::stoul(f[6]));
-      iv.bytes = std::stoull(f[7]);
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "hmr_explain: bad row at line %zu\n", lineno);
-      return false;
-    }
-    out.push_back(iv);
-  }
-  return true;
-}
-
 /// Rebuild intervals from the Perfetto JSON our own tools emit:
 /// "X" (complete) duration events with ts/dur in microseconds and the
 /// category name as the event name; migrations carry src_tier /
@@ -119,7 +54,7 @@ bool read_perfetto(const std::string& text, std::vector<Interval>& out) {
     const hmr::json::Value* ph = e.find("ph");
     if (ph == nullptr || ph->str_or("") != "X") continue;
     Interval iv;
-    if (!parse_category(e.find("name") ? e.find("name")->str_or("") : "",
+    if (!hmr::trace::parse_category(e.find("name") ? e.find("name")->str_or("") : "",
                         iv.cat)) {
       continue; // not one of ours (custom slice); skip
     }
@@ -241,13 +176,20 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Interval> ivs;
+  std::uint64_t dropped = 0;
   if (!in.empty()) {
     std::ifstream ifs(in);
     if (!ifs) {
       std::fprintf(stderr, "hmr_explain: cannot open %s\n", in.c_str());
       return 1;
     }
-    if (!read_csv(ifs, ivs)) return 1;
+    hmr::trace::CsvTrace trace = hmr::trace::read_csv(ifs);
+    if (!trace.error.empty()) {
+      std::fprintf(stderr, "hmr_explain: %s\n", trace.error.c_str());
+      return 1;
+    }
+    ivs = std::move(trace.intervals);
+    dropped = trace.dropped;
   } else {
     std::ifstream ifs(perfetto);
     if (!ifs) {
@@ -281,6 +223,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A ring that dropped events leaves holes the critical path walks
+  // around: say so once the report is out.
+  const auto warn_if_lossy = [dropped] {
+    if (dropped > 0) {
+      std::fprintf(stderr, "hmr_explain: %s\n",
+                   hmr::trace::dropped_warning(dropped).c_str());
+    }
+  };
   const auto cp = hmr::telemetry::critical_path(ivs);
   const auto verdict = hmr::telemetry::classify(cp, mp);
 
@@ -335,6 +285,7 @@ int main(int argc, char** argv) {
                   wis[i].second.speedup);
     }
     std::printf("]}\n");
+    warn_if_lossy();
     return 0;
   }
 
@@ -385,5 +336,6 @@ int main(int argc, char** argv) {
                   name.c_str(), r.predicted_seconds, r.speedup);
     }
   }
+  warn_if_lossy();
   return 0;
 }

@@ -176,7 +176,7 @@ struct Frame {
   hmr::json::Value status;
   hmr::json::Value history; // /history?metric=hmr_tier_used_bytes ({} if n/a)
   bool have_history = false;
-  hmr::json::Value cluster; // /cluster/metrics federation ({} if n/a)
+  hmr::json::Value cluster; // ClusterSim::metrics_json ({} if n/a)
   bool have_cluster = false;
 };
 
@@ -232,7 +232,7 @@ void cluster_row(const char* label, double weight,
 }
 
 /// Cluster pane: one row per federated node snapshot plus the
-/// weighted aggregate (see docs/CLUSTER.md and /cluster/metrics).
+/// weighted aggregate (see docs/CLUSTER.md and ClusterSim::metrics_json).
 void render_cluster(const hmr::json::Value& fed, int width) {
   const auto* nodes = fed.find("nodes");
   const auto* total = fed.find("total_nodes");
@@ -413,7 +413,6 @@ int main(int argc, char** argv) {
   bool once = false;
   std::string from;
   std::string history_file;
-  bool cluster = false;
   std::string cluster_file;
   std::int64_t top_n = 8;
   std::int64_t width = 24;
@@ -433,12 +432,9 @@ int main(int argc, char** argv) {
                 "offline mode: read /history?metric=hmr_tier_used_bytes "
                 "JSON from this file",
                 &history_file);
-  args.add_flag("cluster",
-                "add the federated per-node pane (/cluster/metrics; "
-                "needs Config::cluster_metrics_json wired)",
-                &cluster);
   args.add_flag("cluster-file",
-                "offline mode: read /cluster/metrics JSON from this file",
+                "offline mode: add the federated per-node pane from this "
+                "ClusterSim::metrics_json file",
                 &cluster_file);
   args.add_flag("top", "hot-block rows to show", &top_n);
   args.add_flag("width", "bar/sparkline width in characters", &width);
@@ -483,17 +479,9 @@ int main(int argc, char** argv) {
       fr.have_history = false;
     }
     std::string cluster_text;
-    if (offline) {
-      std::string ignored;
-      fr.have_cluster = !cluster_file.empty() &&
-                        read_file(cluster_file, cluster_text, ignored);
-    } else if (cluster) {
-      std::string ignored;
-      // 404 = no federation attached; drop the pane, keep the frame.
-      fr.have_cluster =
-          http_get(host, static_cast<int>(port), "/cluster/metrics",
-                   cluster_text, ignored);
-    }
+    std::string ignored;
+    fr.have_cluster = offline && !cluster_file.empty() &&
+                      read_file(cluster_file, cluster_text, ignored);
     if (fr.have_cluster &&
         !hmr::json::parse(cluster_text, fr.cluster, &jerr)) {
       fr.have_cluster = false;

@@ -16,110 +16,23 @@
 // (telemetry::DecisionLog::write_csv) and renders the advisor/governor
 // decision history with the inputs that triggered each one.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "telemetry/perfetto.hpp"
 #include "trace/tracer.hpp"
 #include "util/argparse.hpp"
+#include "util/csv.hpp"
 #include "util/units.hpp"
 
 namespace {
 
 using hmr::trace::Category;
 using hmr::trace::Interval;
-
-bool parse_category(const std::string& s, Category& out) {
-  for (int c = 0; c < 6; ++c) {
-    if (s == hmr::trace::category_name(static_cast<Category>(c))) {
-      out = static_cast<Category>(c);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Tracer CSV has no quoted fields: a plain split is a full parser.
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char ch : line) {
-    if (ch == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else if (ch != '\r') {
-      cur.push_back(ch);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool read_trace(std::istream& is, std::vector<Interval>& out,
-                std::uint64_t& dropped, std::uint64_t& ring_fallbacks) {
-  std::string line;
-  if (!std::getline(is, line)) {
-    std::fprintf(stderr, "hmr_trace: empty input\n");
-    return false;
-  }
-  if (split(line) !=
-      std::vector<std::string>{"lane", "category", "start", "end", "task",
-                               "src_tier", "dst_tier", "bytes"}) {
-    std::fprintf(stderr, "hmr_trace: unrecognized header: %s\n",
-                 line.c_str());
-    return false;
-  }
-  std::size_t lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // Trailer comments from Tracer::write_csv: "# dropped=N"
-      // (ring-full losses at dump time) and "# ring_fallbacks=N"
-      // (ChunkRing full-ring un-assisted copies).  Match the longer
-      // key first -- "ring_fallbacks=" does not contain "dropped=".
-      try {
-        if (const auto rf = line.find("ring_fallbacks=");
-            rf != std::string::npos) {
-          ring_fallbacks = std::stoull(line.substr(rf + 15));
-        } else if (const auto eq = line.find("dropped=");
-                   eq != std::string::npos) {
-          dropped = std::stoull(line.substr(eq + 8));
-        }
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "hmr_trace: bad comment at line %zu\n",
-                     lineno);
-        return false;
-      }
-      continue;
-    }
-    const auto f = split(line);
-    Interval iv;
-    if (f.size() != 8 || !parse_category(f[1], iv.cat)) {
-      std::fprintf(stderr, "hmr_trace: bad row at line %zu\n", lineno);
-      return false;
-    }
-    try {
-      iv.lane = std::stoi(f[0]);
-      iv.start = std::stod(f[2]);
-      iv.end = std::stod(f[3]);
-      iv.task = std::stoull(f[4]);
-      iv.src_tier = static_cast<std::uint32_t>(std::stoul(f[5]));
-      iv.dst_tier = static_cast<std::uint32_t>(std::stoul(f[6]));
-      iv.bytes = std::stoull(f[7]);
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "hmr_trace: bad row at line %zu\n", lineno);
-      return false;
-    }
-    out.push_back(iv);
-  }
-  return true;
-}
 
 void print_summary(const hmr::trace::TraceSummary& s,
                    std::int64_t workers, std::uint64_t dropped,
@@ -138,12 +51,8 @@ void print_summary(const hmr::trace::TraceSummary& s,
   std::printf("ring drops: %llu\n",
               static_cast<unsigned long long>(dropped));
   if (dropped > 0) {
-    std::fprintf(stderr,
-                 "hmr_trace: WARNING: %llu events were dropped at record "
-                 "time (ring full) -- every figure above undercounts.  "
-                 "Re-run with a larger Tracer::Options::ring_capacity or "
-                 "drain more often.\n",
-                 static_cast<unsigned long long>(dropped));
+    std::fprintf(stderr, "hmr_trace: %s\n",
+                 hmr::trace::dropped_warning(dropped).c_str());
   }
   std::printf("copy ring fallbacks: %llu\n",
               static_cast<unsigned long long>(ring_fallbacks));
@@ -217,7 +126,7 @@ bool print_decisions(std::istream& is) {
     std::fprintf(stderr, "hmr_trace: empty decisions input\n");
     return false;
   }
-  const auto header = split(line);
+  const auto header = hmr::csv_split(line);
   if (header.size() != 27 || header[0] != "seq" || header[2] != "kind") {
     std::fprintf(stderr,
                  "hmr_trace: unrecognized decisions header (expected the "
@@ -231,7 +140,7 @@ bool print_decisions(std::istream& is) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    const auto f = split(line);
+    const auto f = hmr::csv_split(line);
     if (f.size() != 27) {
       std::fprintf(stderr, "hmr_trace: bad decisions row at line %zu\n",
                    lineno);
@@ -325,38 +234,36 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hmr_trace: cannot open %s\n", in.c_str());
     return 1;
   }
+  const hmr::trace::CsvTrace trace = hmr::trace::read_csv(ifs);
+  if (!trace.error.empty()) {
+    std::fprintf(stderr, "hmr_trace: %s\n", trace.error.c_str());
+    return 1;
+  }
+  // Zero-width rows carry no time; drop them as Tracer::record does.
   std::vector<Interval> ivs;
-  std::uint64_t dropped = 0;
-  std::uint64_t ring_fallbacks = 0;
-  if (!read_trace(ifs, ivs, dropped, ring_fallbacks)) return 1;
-
-  // Re-inject into a serial-mode Tracer to reuse its summary and
-  // timeline code (serial: no ring capacity to size for a file of
-  // unknown length).
-  hmr::trace::Tracer::Options topt;
-  topt.serial = true;
-  hmr::trace::Tracer tracer(true, topt);
   double t0 = 0, t1 = 0;
-  for (std::size_t i = 0; i < ivs.size(); ++i) {
-    const auto& iv = ivs[i];
-    tracer.record_migration(iv.lane, iv.cat, iv.start, iv.end, iv.task,
-                            iv.src_tier, iv.dst_tier, iv.bytes);
+  for (std::size_t i = 0; i < trace.intervals.size(); ++i) {
+    const auto& iv = trace.intervals[i];
+    if (iv.end > iv.start) ivs.push_back(iv);
     t0 = i == 0 ? iv.start : std::min(t0, iv.start);
     t1 = i == 0 ? iv.end : std::max(t1, iv.end);
   }
 
+  const auto summary =
+      hmr::trace::summarize(ivs, static_cast<std::int32_t>(workers));
   if (json) {
-    print_json(tracer.summarize(static_cast<std::int32_t>(workers)),
-               ivs.size(), dropped, ring_fallbacks);
+    print_json(summary, trace.intervals.size(), trace.dropped,
+               trace.ring_fallbacks);
   } else {
-    std::printf("%s: %zu intervals\n", in.c_str(), ivs.size());
-    print_summary(tracer.summarize(static_cast<std::int32_t>(workers)),
-                  workers, dropped, ring_fallbacks);
+    std::printf("%s: %zu intervals\n", in.c_str(), trace.intervals.size());
+    print_summary(summary, workers, trace.dropped, trace.ring_fallbacks);
   }
 
+  hmr::trace::sort_intervals(ivs);
   if (timeline && t1 > t0) {
     std::printf("\n");
-    tracer.ascii_timeline(std::cout, static_cast<int>(width), t0, t1);
+    hmr::trace::ascii_timeline(std::cout, ivs, static_cast<int>(width), t0,
+                               t1);
   }
 
   if (!perfetto.empty()) {
@@ -370,7 +277,7 @@ int main(int argc, char** argv) {
     popt.worker_lanes = static_cast<std::int32_t>(workers);
     popt.flows = flows;
     popt.idle = idle;
-    hmr::telemetry::write_perfetto(ofs, tracer.intervals(), popt);
+    hmr::telemetry::write_perfetto(ofs, ivs, popt);
     std::printf("\nwrote %s (open in ui.perfetto.dev)\n",
                 perfetto.c_str());
   }
