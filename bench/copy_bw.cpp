@@ -4,19 +4,23 @@
 // For every implementation the host supports (scalar, SSE2, AVX2,
 // AVX-512) x a size ladder from 4 KiB to 16 MiB, measures GB/s with
 // streaming (non-temporal) stores forced on and off, against plain
-// std::memcpy as the reference.  The headline number is the dispatched
-// kernel vs scalar memcpy at >= 4 MiB with NT on: that is the regime
-// MemoryManager::migrate and the ChunkRing live in, where NT stores
-// stop the destination from evicting the source (and everything else)
-// out of cache.  On hosts where the copy is bound far below the SIMD
-// width (single hardware thread, small LLC), parity is the expected
-// and documented outcome — see docs/PERF.md §4.
+// std::memcpy as the reference.  The ladder brackets the NT cutover,
+// which defaults to the host's per-core L2 size (printed, and recorded
+// in the JSON): below it migrations use cached stores, because the
+// task that fetched a block reads it next; at and above it they
+// stream.  The headline number is the dispatched kernel vs scalar
+// memcpy at 4 MiB with NT on, a copy above the L2 of common hosts,
+// where NT stores stop the destination from evicting the source (and
+// everything else) out of cache.  On hosts where the copy is bound far
+// below the SIMD width (single hardware thread, small LLC), parity is
+// the expected and documented outcome — see docs/PERF.md §4.
 //
 // --check runs the correctness sweep only (every impl x sizes x
 // misalignments, memcmp vs memcpy) and exits nonzero on any mismatch;
 // CI uses it as a ctest entry.  --json writes BENCH_copy_bw.json: the
-// `supported` flags and `check` leaves are deterministic and gated,
-// the gbps leaves are wall-clock and only recorded.
+// `supported` flags and `check` leaves are deterministic and gated;
+// the gbps leaves are wall-clock, and l2_bytes / nt_threshold_bytes
+// are facts of the host, so both are only recorded.
 
 #include <chrono>
 #include <cstdio>
@@ -25,6 +29,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "mem/copy_kernel.hpp"
@@ -151,8 +156,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::uint64_t sizes[] = {4u << 10, 64u << 10, 1u << 20, 4u << 20,
-                                 16u << 20};
+  const long l2_bytes = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
+  const std::uint64_t nt_threshold = mem::copy_nt_threshold();
+  std::printf("reported L2: %ld bytes; NT cutover in effect: %llu bytes\n",
+              l2_bytes, static_cast<unsigned long long>(nt_threshold));
+
+  const std::uint64_t sizes[] = {4u << 10,  64u << 10, 512u << 10, 1u << 20,
+                                 2u << 20, 4u << 20,  16u << 20};
   std::printf("\n%-8s %12s %14s %14s\n", "impl", "size", "cached GB/s",
               "NT GB/s");
   std::vector<Row> rows;
@@ -194,6 +204,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"copy_bw\",\n");
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"l2_bytes\": %ld,\n", l2_bytes);
+    std::fprintf(f, "  \"nt_threshold_bytes\": %llu,\n",
+                 static_cast<unsigned long long>(nt_threshold));
     std::fprintf(f, "  \"check\": {\"impls_verified\": %zu, "
                  "\"failures\": %d},\n",
                  supported.size(), failures);

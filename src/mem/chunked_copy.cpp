@@ -34,14 +34,7 @@ std::uint32_t ChunkRing::work_on(Job& job) {
     const std::uint64_t off = static_cast<std::uint64_t>(i) * chunk_bytes_;
     const std::uint64_t len =
         off + chunk_bytes_ <= job.bytes ? chunk_bytes_ : job.bytes - off;
-    // NT policy is decided by the *job* size, not the chunk size: a
-    // 16 MiB migration should stream even though each 256 KiB slice
-    // sits below the threshold.
-    const Stream stream =
-        copy_nt_threshold() != 0 && job.bytes >= copy_nt_threshold()
-            ? Stream::Always
-            : Stream::Never;
-    copy(job.dst + off, job.src + off, len, stream);
+    copy(job.dst + off, job.src + off, len, job.stream);
     job.done.fetch_add(1, std::memory_order_release);
     ++copied;
   }
@@ -90,6 +83,12 @@ CopyOutcome ChunkRing::run(void* dst, const void* src, std::uint64_t bytes,
   job->bytes = bytes;
   job->n_chunks =
       static_cast<std::uint32_t>((bytes + chunk_bytes_ - 1) / chunk_bytes_);
+  // NT policy is decided once, by the *job* size, not the chunk size:
+  // a 16 MiB migration streams even though each 256 KiB slice sits
+  // below the threshold.
+  const std::uint64_t nt_threshold = copy_nt_threshold();
+  job->stream = nt_threshold != 0 && bytes >= nt_threshold ? Stream::Always
+                                                           : Stream::Never;
   job->next.store(0, std::memory_order_relaxed);
   job->done.store(0, std::memory_order_relaxed);
   job->assisted.store(0, std::memory_order_relaxed);

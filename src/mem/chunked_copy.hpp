@@ -34,6 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "mem/copy_kernel.hpp"
+
 namespace hmr::mem {
 
 /// Outcome of one cooperative copy.
@@ -111,6 +113,7 @@ private:
     const std::byte* src = nullptr;
     std::uint64_t bytes = 0;
     std::uint32_t n_chunks = 0;
+    Stream stream = Stream::Never; // decided by run() from the job size
     const std::atomic<bool>* cancel = nullptr;
   };
 

@@ -4,8 +4,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <unistd.h>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define HMR_COPY_X86 1
@@ -17,9 +19,11 @@
 namespace hmr::mem {
 namespace {
 
-constexpr std::uint64_t kDefaultNtThreshold = 1ull << 20; // 1 MiB
+// Cutover when the host reports no L2 size (the paper's KNL has 1 MiB
+// of L2 per tile, so there the two rules agree).
+constexpr std::uint64_t kFallbackNtThreshold = 1ull << 20; // 1 MiB
 
-std::atomic<std::uint64_t> g_nt_threshold{kDefaultNtThreshold};
+std::atomic<std::uint64_t> g_nt_threshold{kFallbackNtThreshold};
 std::atomic<std::uint64_t> g_nt_copies{0};
 std::atomic<std::uint64_t> g_nt_bytes{0};
 
@@ -198,22 +202,17 @@ CopyImpl pick_impl() {
   return CopyImpl::Scalar;
 }
 
-std::uint64_t pick_threshold() {
-  if (const char* env = std::getenv("HMR_COPY_NT_THRESHOLD")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) return v;
-  }
-  return kDefaultNtThreshold;
-}
-
 std::atomic<CopyImpl>& impl_slot() {
   static std::atomic<CopyImpl> slot{pick_impl()};
   return slot;
 }
 
 struct ThresholdEnvInit {
-  ThresholdEnvInit() { g_nt_threshold.store(pick_threshold()); }
+  ThresholdEnvInit() {
+    g_nt_threshold.store(
+        initial_nt_threshold(std::getenv("HMR_COPY_NT_THRESHOLD"),
+                             ::sysconf(_SC_LEVEL2_CACHE_SIZE)));
+  }
 };
 ThresholdEnvInit g_threshold_env_init;
 
@@ -279,6 +278,14 @@ std::uint64_t copy_nt_threshold() {
 
 void set_copy_nt_threshold(std::uint64_t bytes) {
   g_nt_threshold.store(bytes, std::memory_order_relaxed);
+}
+
+std::uint64_t initial_nt_threshold(const char* env, long l2_bytes) {
+  if (env != nullptr) {
+    if (const auto v = parse_u64(env)) return *v;
+  }
+  return l2_bytes > 0 ? static_cast<std::uint64_t>(l2_bytes)
+                      : kFallbackNtThreshold;
 }
 
 std::uint64_t copy_nt_copies() {

@@ -17,7 +17,10 @@
 /// `__builtin_cpu_supports`.  Environment overrides for experiments:
 ///
 ///   HMR_COPY_IMPL=scalar|sse2|avx2|avx512   force an implementation
-///   HMR_COPY_NT_THRESHOLD=<bytes>           NT-store cutover (0 = off)
+///   HMR_COPY_NT_THRESHOLD=<bytes>           NT-store cutover (0 = off);
+///                                           plain decimal digits only,
+///                                           anything else keeps the
+///                                           L2-size default
 namespace hmr::mem {
 
 enum class CopyImpl : std::uint8_t { Scalar = 0, SSE2, AVX2, AVX512 };
@@ -39,6 +42,12 @@ void set_copy_impl(CopyImpl impl);
 /// NT stores are disabled and every copy is a plain memcpy.
 std::uint64_t copy_nt_threshold();
 void set_copy_nt_threshold(std::uint64_t bytes);
+
+/// The threshold a process starts with, as a pure function of its
+/// inputs: `env` (the value of HMR_COPY_NT_THRESHOLD, or null) when it
+/// is plain decimal digits, else `l2_bytes` (the per-core L2 size that
+/// sysconf(_SC_LEVEL2_CACHE_SIZE) reports) when positive, else 1 MiB.
+std::uint64_t initial_nt_threshold(const char* env, long l2_bytes);
 
 /// Streaming-store policy for a single copy call.
 enum class Stream : std::uint8_t {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "mem/copy_kernel.hpp"
 #include "mem/memory_manager.hpp"
 
 namespace hmr::mem {
@@ -174,6 +175,34 @@ TEST(ChunkRing, SmallAndRingCopiesAreNotFallbacks) {
   out = ring.run(dst.data(), src.data(), 8192);
   EXPECT_FALSE(out.ring_fallback);
   EXPECT_EQ(ring.ring_fallbacks(), 0u);
+}
+
+TEST(ChunkRing, StreamsOnlyJobsAtOrAboveTheCutover) {
+  if (copy_impl() == CopyImpl::Scalar) {
+    GTEST_SKIP() << "scalar has no NT path (documented parity)";
+  }
+  const std::uint64_t saved = copy_nt_threshold();
+  set_copy_nt_threshold(2u << 20);
+  ChunkRing ring; // 256 KiB chunks
+  const auto src = pattern(4u << 20);
+  std::vector<std::uint8_t> dst(src.size(), 0);
+  // A 1 MiB job sits under the cutover: every chunk uses cached stores.
+  const auto c0 = copy_nt_copies();
+  ring.run(dst.data(), src.data(), 1u << 20);
+  EXPECT_EQ(copy_nt_copies(), c0);
+  // Jobs at and above it stream every chunk, although each chunk is
+  // far smaller than the cutover.
+  for (const std::uint64_t n : {std::uint64_t{2} << 20,
+                                std::uint64_t{4} << 20}) {
+    const auto copies0 = copy_nt_copies();
+    const auto bytes0 = copy_nt_bytes();
+    const CopyOutcome out = ring.run(dst.data(), src.data(), n);
+    EXPECT_EQ(copy_nt_copies(), copies0 + out.chunks) << n;
+    EXPECT_EQ(out.chunks, n / ChunkRing::kDefaultChunkBytes) << n;
+    EXPECT_EQ(copy_nt_bytes(), bytes0 + n) << n;
+  }
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), dst.size()), 0);
+  set_copy_nt_threshold(saved);
 }
 
 TEST(ChunkedMigrate, RoundTripIntegrityThroughMemoryManager) {

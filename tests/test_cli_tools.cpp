@@ -159,6 +159,19 @@ TEST(HmrTop, RequiresPortOrFile) {
   EXPECT_NE(r.output.find("--port or --from"), std::string::npos);
 }
 
+TEST(HmrTop, OfflineFilesNeedFrom) {
+  // Live mode reads /history from the port and has no cluster pane, so
+  // the offline-only files are a usage error there, not silently
+  // ignored.  The port is never contacted: the check runs first.
+  for (const char* flag : {"--cluster-file /dev/null",
+                           "--history-file /dev/null"}) {
+    const RunResult r = run(std::string("'") + HMR_TOP_TOOL +
+                            "' --port 18080 --once " + flag + " 2>&1");
+    EXPECT_EQ(r.exit_code, 1) << flag;
+    EXPECT_NE(r.output.find("need --from"), std::string::npos) << r.output;
+  }
+}
+
 // ---- hmr_explain ----
 
 TEST(HmrExplain, ComputeBoundSummaryMatchesGolden) {

@@ -144,6 +144,27 @@ TEST(CopyKernel, ThresholdGatesAutoStreaming) {
   hmr::mem::set_copy_nt_threshold(saved);
 }
 
+TEST(CopyKernel, InitialThresholdTakesPlainDigitsElseTheL2Size) {
+  using hmr::mem::initial_nt_threshold;
+  constexpr long kL2 = 2l << 20;
+  constexpr std::uint64_t kFallback = 1u << 20;
+  // No override: the reported L2 size, or 1 MiB when there is none.
+  EXPECT_EQ(initial_nt_threshold(nullptr, kL2), std::uint64_t{kL2});
+  EXPECT_EQ(initial_nt_threshold(nullptr, 0), kFallback);
+  EXPECT_EQ(initial_nt_threshold(nullptr, -1), kFallback);
+  // A plain decimal override wins; 0 still turns NT stores off.
+  EXPECT_EQ(initial_nt_threshold("4096", kL2), 4096u);
+  EXPECT_EQ(initial_nt_threshold("0", kL2), 0u);
+  // Signs, blanks, trailing text, empty and overflowing values are
+  // malformed and keep the host default instead of a misread number
+  // ("-1" would otherwise read as 2^64-1 and never stream).
+  for (const char* bad : {"-1", " 12", "12abc", "+12", "", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(initial_nt_threshold(bad, kL2), std::uint64_t{kL2}) << bad;
+    EXPECT_EQ(initial_nt_threshold(bad, 0), kFallback) << bad;
+  }
+}
+
 TEST(CopyKernelDeathTest, OverlappingRangesAreRejected) {
   std::vector<unsigned char> buf(256, 1);
   EXPECT_DEATH(hmr::mem::copy(buf.data() + 16, buf.data(), 64), "overlap");

@@ -6,8 +6,9 @@
 // tracking, the governor's current decision, and any active watchdog
 // alert.  One binary, no dependencies beyond the repo's JSON reader —
 // `watch`-style refresh by default, a single frame with --once, and a
-// fully offline mode (--from / --history-file) for tests and for
-// inspecting saved snapshots.
+// fully offline mode (--from, plus --history-file / --cluster-file,
+// which only that mode reads) for tests and for inspecting saved
+// snapshots.
 //
 //   hmr_top --port 8791
 //   hmr_top --port 8791 --once
@@ -446,6 +447,13 @@ int main(int argc, char** argv) {
                  args.usage().c_str());
     return 1;
   }
+  if (!offline && (!history_file.empty() || !cluster_file.empty())) {
+    std::fprintf(stderr,
+                 "hmr_top: --history-file and --cluster-file need --from "
+                 "(live mode reads /history from --port)\n%s",
+                 args.usage().c_str());
+    return 1;
+  }
 
   const auto fetch = [&](Frame& fr, std::string& err) {
     std::string status_text;
@@ -480,8 +488,8 @@ int main(int argc, char** argv) {
     }
     std::string cluster_text;
     std::string ignored;
-    fr.have_cluster = offline && !cluster_file.empty() &&
-                      read_file(cluster_file, cluster_text, ignored);
+    fr.have_cluster =
+        !cluster_file.empty() && read_file(cluster_file, cluster_text, ignored);
     if (fr.have_cluster &&
         !hmr::json::parse(cluster_text, fr.cluster, &jerr)) {
       fr.have_cluster = false;
