@@ -21,16 +21,16 @@ void ChunkRing::set_chunk_bytes(std::uint64_t chunk_bytes) {
   chunk_bytes_ = chunk_bytes;
 }
 
-std::uint32_t ChunkRing::work_on(Job& job) {
+std::uint32_t ChunkRing::work_on(Job& job, std::size_t max_chunks) {
   std::uint32_t copied = 0;
-  for (;;) {
+  while (copied < max_chunks) {
     if (job.cancel != nullptr &&
         job.cancel->load(std::memory_order_acquire)) {
       break;
     }
     const std::uint32_t i =
         job.next.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= job.n_chunks) break;
+    if (i >= job.n_chunks.load(std::memory_order_relaxed)) break;
     const std::uint64_t off = static_cast<std::uint64_t>(i) * chunk_bytes_;
     const std::uint64_t len =
         off + chunk_bytes_ <= job.bytes ? chunk_bytes_ : job.bytes - off;
@@ -81,8 +81,9 @@ CopyOutcome ChunkRing::run(void* dst, const void* src, std::uint64_t bytes,
   job->dst = static_cast<std::byte*>(dst);
   job->src = static_cast<const std::byte*>(src);
   job->bytes = bytes;
-  job->n_chunks =
+  const auto n_chunks =
       static_cast<std::uint32_t>((bytes + chunk_bytes_ - 1) / chunk_bytes_);
+  job->n_chunks.store(n_chunks, std::memory_order_relaxed);
   // NT policy is decided once, by the *job* size, not the chunk size:
   // a 16 MiB migration streams even though each 256 KiB slice sits
   // below the threshold.
@@ -110,7 +111,7 @@ CopyOutcome ChunkRing::run(void* dst, const void* src, std::uint64_t bytes,
 
   out.chunks = job->done.load(std::memory_order_acquire);
   out.assisted_chunks = job->assisted.load(std::memory_order_relaxed);
-  out.cancelled = out.chunks < job->n_chunks;
+  out.cancelled = out.chunks < n_chunks;
   HMR_DCHECK(out.cancelled <= (cancel != nullptr));
   chunks_copied_.fetch_add(own, std::memory_order_relaxed);
 
@@ -121,16 +122,17 @@ CopyOutcome ChunkRing::run(void* dst, const void* src, std::uint64_t bytes,
   return out;
 }
 
-std::size_t ChunkRing::assist() {
+std::size_t ChunkRing::assist(std::size_t max_chunks) {
   std::size_t copied = 0;
   for (auto& slot : slots_) {
+    if (copied >= max_chunks) break;
     if (slot.state.load(std::memory_order_acquire) != kActive) continue;
     // Announce first, then re-check: the owner may have parked the
     // slot between our load and the fetch_add, in which case it is
     // already waiting for helpers to reach 0 — back out immediately.
     slot.helpers.fetch_add(1, std::memory_order_acq_rel);
     if (slot.state.load(std::memory_order_acquire) == kActive) {
-      const std::uint32_t n = work_on(slot);
+      const std::uint32_t n = work_on(slot, max_chunks - copied);
       if (n > 0) {
         slot.assisted.fetch_add(n, std::memory_order_relaxed);
         chunks_copied_.fetch_add(n, std::memory_order_relaxed);
@@ -146,7 +148,8 @@ std::size_t ChunkRing::assist() {
 bool ChunkRing::assist_pending() const {
   for (const auto& slot : slots_) {
     if (slot.state.load(std::memory_order_acquire) != kActive) continue;
-    if (slot.next.load(std::memory_order_relaxed) < slot.n_chunks) {
+    if (slot.next.load(std::memory_order_relaxed) <
+        slot.n_chunks.load(std::memory_order_relaxed)) {
       return true;
     }
   }

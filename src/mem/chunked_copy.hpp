@@ -6,9 +6,10 @@
 // transfer behind a single core even when other IO threads are idle —
 // on KNL one core cannot saturate either MCDRAM or DDR4 bandwidth.
 // ChunkRing splits a copy above a threshold into fixed-size chunks
-// published in a small ring of job slots; any idle IO thread can walk
-// in and claim chunks (assist) until the job drains, so one large
-// block is streamed by several cores cooperatively.
+// published in a small ring of job slots; any idle thread (an IO
+// thread, or a PE with nothing to run) can walk in and claim chunks
+// (assist) until the job drains, so one large block is streamed by
+// several cores cooperatively.
 //
 // Protocol per job slot (lock-free, no allocation on the copy path):
 //   owner:   claim an Empty slot (CAS Empty->Setup), fill src/dst/
@@ -19,7 +20,8 @@
 //   helper:  assist() scans the slots; on an Active slot it announces
 //            itself (helpers.fetch_add), re-checks the state (the slot
 //            may have drained in between — then it backs straight
-//            out), claims chunks via next.fetch_add, and leaves.
+//            out), claims chunks via next.fetch_add up to its bound,
+//            and leaves.
 //
 // Chunks are claimed in index order, so the copied region of a
 // cancelled transfer is a prefix of fully-copied chunks plus at most
@@ -72,10 +74,11 @@ public:
   CopyOutcome run(void* dst, const void* src, std::uint64_t bytes,
                   const std::atomic<bool>* cancel = nullptr);
 
-  /// Called by idle threads: claim and copy chunks of any active job.
-  /// Returns the number of chunks this call copied (0 = nothing to
-  /// assist with).
-  std::size_t assist();
+  /// Called by idle threads: claim and copy up to `max_chunks` chunks
+  /// of any active jobs.  Returns the number of chunks this call copied
+  /// (0 = nothing to assist with).  A thread that must stay responsive
+  /// to its own queue passes a small bound and calls again.
+  std::size_t assist(std::size_t max_chunks = SIZE_MAX);
 
   /// True when some job has unclaimed chunks — cheap enough for an IO
   /// thread's idle loop.
@@ -112,14 +115,16 @@ private:
     std::byte* dst = nullptr;
     const std::byte* src = nullptr;
     std::uint64_t bytes = 0;
-    std::uint32_t n_chunks = 0;
+    // Atomic only for assist_pending(), which polls it without
+    // announcing itself while an owner may be refilling the slot.
+    std::atomic<std::uint32_t> n_chunks{0};
     Stream stream = Stream::Never; // decided by run() from the job size
     const std::atomic<bool>* cancel = nullptr;
   };
 
-  /// Claim-and-copy loop shared by owner and helpers.  Returns the
-  /// number of chunks this thread copied.
-  std::uint32_t work_on(Job& job);
+  /// Claim-and-copy loop shared by owner and helpers: claims at most
+  /// `max_chunks` chunks.  Returns the number this thread copied.
+  std::uint32_t work_on(Job& job, std::size_t max_chunks = SIZE_MAX);
 
   std::uint64_t chunk_bytes_;
   Job slots_[kSlots];

@@ -372,7 +372,7 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
 
   // Step 2: move the data, outside any lock so migrations of distinct
   // blocks overlap.  Skipped for write-only destinations.  Large
-  // copies stream through the ChunkRing so idle IO threads can assist
+  // copies stream through the ChunkRing so idle threads can assist
   // (several cores cooperating on one block).
   if (copy_contents) {
     const double t0 = now_s();
@@ -478,7 +478,9 @@ void MemoryManager::set_chunked_copy(std::uint64_t threshold,
   }
 }
 
-std::size_t MemoryManager::assist_copies() { return ring_.assist(); }
+std::size_t MemoryManager::assist_copies(std::size_t max_chunks) {
+  return ring_.assist(max_chunks);
+}
 
 bool MemoryManager::copy_assist_pending() const {
   return chunk_threshold_ > 0 && ring_.assist_pending();

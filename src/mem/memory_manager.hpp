@@ -141,8 +141,8 @@ public:
   //
   // With chunking enabled, migrate() streams copies of at least
   // `threshold` bytes through a ChunkRing in `chunk` -byte pieces, and
-  // idle threads (the runtime's IO threads) can join in via
-  // assist_copies() so several cores share one large transfer.
+  // idle threads (the runtime's IO threads and parked PEs) can join in
+  // via assist_copies() so several cores share one large transfer.
 
   /// Enable (threshold > 0) or disable (threshold = 0) chunked copies.
   /// Not thread-safe against concurrent migrate(): configure before
@@ -152,11 +152,12 @@ public:
   bool chunked_copy_enabled() const { return chunk_threshold_ > 0; }
   std::uint64_t chunk_threshold() const { return chunk_threshold_; }
 
-  /// Copy chunks of any in-flight chunked migration; returns chunks
-  /// copied (0 = nothing pending).  Safe from any thread.
-  std::size_t assist_copies();
+  /// Copy up to `max_chunks` chunks of any in-flight chunked
+  /// migration; returns chunks copied (0 = nothing pending).  Safe
+  /// from any thread.
+  std::size_t assist_copies(std::size_t max_chunks = SIZE_MAX);
 
-  /// Cheap poll for IO-thread idle loops.
+  /// Cheap poll for idle loops (IO threads, parked PEs).
   bool copy_assist_pending() const;
 
   /// The ring's monotonic counters (jobs / chunks / assisted chunks).

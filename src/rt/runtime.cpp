@@ -330,9 +330,18 @@ void Runtime::pe_loop(int pe) {
     msgs.clear();
     {
       std::unique_lock lk(w.mu);
-      w.cv.wait(lk, [&] {
-        return stop_.load() || !w.run_q.empty() || !w.msgs.empty();
-      });
+      while (!stop_.load() && w.run_q.empty() && w.msgs.empty()) {
+        if (mm_->copy_assist_pending()) {
+          // Nothing to run, but a chunked copy is in flight: copy one
+          // chunk of it, then look at the queues again, so a task that
+          // becomes ready waits for at most one chunk.
+          lk.unlock();
+          mm_->assist_copies(1);
+          lk.lock();
+        } else {
+          w.cv.wait(lk);
+        }
+      }
       // Ready tasks (data resident) run before new messages are
       // intercepted, keeping the PE's pipeline full.  Draining a
       // batch amortizes the queue lock over it; a message batch also
@@ -521,7 +530,7 @@ void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
   // writeonly_nocopy extension).
   if (mm_->chunked_copy_enabled() && !cmd.nocopy &&
       mm_->block_bytes(cmd.block) >= mm_->chunk_threshold()) {
-    poke_io_for_assist(); // idle IO threads join the chunked copy
+    poke_for_assist(); // idle IO threads and parked PEs join the copy
   }
   const auto res = mm_->migrate(cmd.block, cmd.dst_tier,
                                 /*copy_contents=*/!cmd.nocopy);
@@ -557,7 +566,8 @@ void Runtime::record_migration(const ooc::Command& cmd, bool copied,
                                double ts, double te, int trace_lane) {
   hub_.record_migration(tracer_, trace_lane, cmd, ts, te,
                         copied ? mm_->block_bytes(cmd.block) : 0);
-  if (cmd.kind == ooc::Command::Kind::Fetch) {
+  // Fetch-age bookkeeping has one reader, the watchdog's hook.
+  if (cfg_.watchdog && cmd.kind == ooc::Command::Kind::Fetch) {
     fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
     fetch_completed_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -614,7 +624,7 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
         case ooc::Command::Kind::Fetch:
         case ooc::Command::Kind::Evict: {
           ops_add(1);
-          if (c.kind == ooc::Command::Kind::Fetch) {
+          if (cfg_.watchdog && c.kind == ooc::Command::Kind::Fetch) {
             fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
             fetch_dispatched_.fetch_add(1, std::memory_order_relaxed);
           }
@@ -623,7 +633,9 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
             perform_transfers({c}, context_lane);
             break;
           }
-          const double ts = now();
+          // A swap's start time feeds only the trace interval and the
+          // latency histogram; the flight recorder reads its end.
+          const double ts = tracer_.enabled() || metrics_ ? now() : 0.0;
           if (mm_->try_swap(c.block, c.dst_tier, !c.nocopy).ok) {
             record_migration(c, /*copied=*/false, ts, now(), context_lane);
             swapped.push_back(c);
@@ -723,8 +735,12 @@ bool Runtime::engine_quiescent() {
   return engine_->quiescent();
 }
 
-void Runtime::poke_io_for_assist() {
+void Runtime::poke_for_assist() {
   for (auto& w : io_) {
+    std::lock_guard lk(w->mu);
+    w->cv.notify_all();
+  }
+  for (auto& w : pes_) {
     std::lock_guard lk(w->mu);
     w->cv.notify_all();
   }

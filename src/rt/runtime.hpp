@@ -90,10 +90,13 @@ public:
     bool metrics = false;
     /// Block flight recorder depth: keep the last N residency
     /// transitions per live block for post-mortem debugging (0
-    /// disables).  Cheap — one striped-map update per migration, one
-    /// ring of N slots per live block, dropped by free_block() — so
-    /// it stays on by default.  The HMR_FLIGHT_DEPTH environment
-    /// variable overrides this at construction (clamped to [0, 1024]).
+    /// disables).  One striped-map update per migration, one ring of
+    /// N slots per live block, dropped by free_block().  Not free on
+    /// swap-heavy work: HMR_FLIGHT_DEPTH=0 cut perfbench cg_fine
+    /// step_p50_ms by 6.5% (6 of 6 same-binary pairs, 4-vCPU x86-64
+    /// guest; docs/OBSERVABILITY.md §5).  On by default.  The
+    /// HMR_FLIGHT_DEPTH environment variable overrides this at
+    /// construction (clamped to [0, 1024]).
     std::size_t flight_depth = 8;
     /// Metrics history ring: keep the last N registry snapshots, one
     /// sampled at every wait_idle() quiescence tick, served via
@@ -118,8 +121,10 @@ public:
 
     /// Chunked cooperative migration: block copies of at least
     /// `chunk_threshold` bytes stream through the MemoryManager's
-    /// ChunkRing in `chunk_bytes` pieces so idle IO threads can assist
-    /// on one large transfer.  0 disables chunking.
+    /// ChunkRing in `chunk_bytes` pieces so idle IO threads and PEs
+    /// with nothing to run can assist on one large transfer (a PE
+    /// takes one chunk at a time, so a task that becomes ready waits
+    /// for at most one chunk copy).  0 disables chunking.
     std::uint64_t chunk_threshold = 1ull << 20;
     std::uint64_t chunk_bytes = 256ull << 10;
     /// Collect scheduler lock-contention counters (bench/rt_contention
@@ -419,8 +424,10 @@ private:
   /// `outstanding_ops_` -= n, waking idle waiters on the final one.
   void ops_sub(std::uint64_t n);
   bool engine_quiescent();
-  /// Wake every IO thread so idle ones can assist a chunked copy.
-  void poke_io_for_assist();
+  /// Wake every IO thread and PE so idle ones can assist a chunked
+  /// copy (a PE with nothing to run copies one chunk per check of its
+  /// queues).
+  void poke_for_assist();
   /// Called under lock_engine() after an engine event (adaptive runs,
   /// serial engine only): hand the commands to the guidance loop.
   void observe_locked(const std::vector<ooc::Command>& cmds);
@@ -503,7 +510,8 @@ private:
   // wakeup; parked threads do not beat, the watchdog only reads them
   // under load), a monotonic retirement counter as the watchdog's
   // progress signal, fetch-age tracking (dispatch/complete counts +
-  // last-activity stamp), and the server / watchdog / audit state.
+  // last-activity stamp, kept only when Config::watchdog is set), and
+  // the server / watchdog / audit state.
   std::vector<telemetry::Heartbeat> pe_beats_;
   std::vector<telemetry::Heartbeat> io_beats_;
   alignas(64) std::atomic<std::uint64_t> retired_{0};

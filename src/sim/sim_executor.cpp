@@ -195,7 +195,11 @@ void SimExecutor::schedule_tick(std::uint64_t key) {
   TransferChannel& ch = *channels_.at(key);
   const double t = ch.next_completion(now_);
   if (!std::isfinite(t)) return;
-  eq_.at(t, [this, key] {
+  // Every membership change schedules a fresh tick, so a tick whose
+  // generation has moved on is stale: drop it instead of letting it
+  // start one more chain of ticks.
+  eq_.at(t, [this, key, gen = ch.generation()] {
+    if (channels_.at(key)->generation() != gen) return;
     drain_channel(key);
     if (channels_.at(key)->has_flows()) schedule_tick(key);
   });

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -79,6 +80,39 @@ TEST(ChunkRing, HelpersCarryChunksAndDataStaysIntact) {
   // Owner + helpers together copied every chunk of every job.
   EXPECT_EQ(ring.chunks_copied(), 4 * ((n + 4095) / 4096));
   EXPECT_EQ(ring.jobs(), 4u);
+}
+
+TEST(ChunkRing, BoundedAssistCopiesAtMostOneChunkPerCall) {
+  // A PE assists with assist(1) between checks of its own queues: each
+  // call may copy one chunk at most, and the job still completes
+  // byte-exact with the helper's chunks accounted to it.
+  ChunkRing ring(/*chunk_bytes=*/256);
+  const std::size_t n = 4 * 1024 * 1024 + 99;
+  const auto src = pattern(n);
+  std::vector<std::uint8_t> dst(n, 0);
+
+  std::atomic<bool> done{false};
+  std::size_t most = 0;
+  std::size_t total = 0;
+  std::thread helper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::size_t got = ring.assist(1);
+      most = std::max(most, got);
+      total += got;
+      if (got == 0) std::this_thread::yield();
+    }
+  });
+  const CopyOutcome out = ring.run(dst.data(), src.data(), n);
+  done.store(true, std::memory_order_release);
+  helper.join();
+
+  EXPECT_LE(most, 1u);
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_EQ(out.chunks, (n + 255) / 256);
+  EXPECT_EQ(out.assisted_chunks, total);
+  EXPECT_EQ(ring.chunks_assisted(), total);
+  EXPECT_EQ(ring.chunks_copied(), (n + 255) / 256);
+  ASSERT_EQ(std::memcmp(dst.data(), src.data(), n), 0);
 }
 
 TEST(ChunkRing, ConcurrentOwnersShareTheRing) {

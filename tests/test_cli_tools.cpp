@@ -153,6 +153,29 @@ TEST(HmrTop, MissingHistoryDropsOnlySparklines) {
   EXPECT_NE(r.output.find("watchdog trip(s)"), std::string::npos);
 }
 
+TEST(HmrTop, UnreadableOfflineFileFails) {
+  // A missing or non-JSON pane file is an error, not a frame without
+  // that pane.
+  const RunResult missing = run(
+      in_golden_dir(std::string("'") + HMR_TOP_TOOL +
+                    "' --once --from hmr_top_status.json "
+                    "--cluster-file /nonexistent.json 2>&1"));
+  EXPECT_EQ(missing.exit_code, 1);
+  EXPECT_NE(missing.output.find("cannot open /nonexistent.json"),
+            std::string::npos)
+      << missing.output;
+  EXPECT_EQ(missing.output.find("Tiers:"), std::string::npos);
+
+  const RunResult garbled = run(
+      in_golden_dir(std::string("'") + HMR_TOP_TOOL +
+                    "' --once --from hmr_top_status.json "
+                    "--history-file hmr_top.out 2>&1"));
+  EXPECT_EQ(garbled.exit_code, 1);
+  EXPECT_NE(garbled.output.find("bad JSON in hmr_top.out"),
+            std::string::npos)
+      << garbled.output;
+}
+
 TEST(HmrTop, RequiresPortOrFile) {
   const RunResult r = run(std::string("'") + HMR_TOP_TOOL + "' 2>&1");
   EXPECT_EQ(r.exit_code, 1);

@@ -278,6 +278,41 @@ TEST(Runtime, FlightRecorderTracksOnlyLiveBlocks) {
   }
 }
 
+TEST(Runtime, IdlePeAssistsChunkedCopyWithoutIoThreads) {
+  // SyncNoIo has no IO threads: PE 0 runs its task's fetch inline, so
+  // every assisted chunk of that copy was copied by PE 1, which has
+  // nothing to run.
+  auto cfg = small_config(ooc::Strategy::SyncNoIo);
+  cfg.mem_scale = 1.0 / 1024; // 16 MiB fast tier
+  cfg.chunk_bytes = 16 * KiB;
+  Runtime rt(cfg);
+  ASSERT_EQ(rt.num_io_threads(), 0);
+  const std::uint64_t n = 8 * MiB / sizeof(std::uint64_t);
+  ASSERT_GE(n * sizeof(std::uint64_t), cfg.chunk_threshold);
+  const mem::ChunkRing& ring = rt.memory().chunk_ring();
+  // Whether PE 1 is scheduled while the copy runs is up to the OS, so
+  // fetch fresh blocks (no shadow, a real copy each) until it was.
+  int rounds = 0;
+  for (; rounds < 200 && ring.chunks_assisted() == 0; ++rounds) {
+    IoHandle<std::uint64_t> h(rt, n);
+    const auto value = [rounds](std::uint64_t i) {
+      return i * 7 + static_cast<std::uint64_t>(rounds);
+    };
+    for (std::uint64_t i = 0; i < n; ++i) h[i] = value(i);
+    std::atomic<bool> intact{false};
+    rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadOnly)}, [&] {
+      bool ok = true;
+      for (std::uint64_t i = 0; i < n; ++i) ok = ok && h[i] == value(i);
+      intact = ok;
+    });
+    rt.wait_idle();
+    ASSERT_TRUE(intact.load()) << "round " << rounds;
+    rt.free_block(h.id());
+  }
+  EXPECT_GT(ring.chunks_assisted(), 0u) << "after " << rounds << " rounds";
+  EXPECT_EQ(ring.jobs(), static_cast<std::uint64_t>(rounds));
+}
+
 TEST(Runtime, FreeBlockReleasesCapacity) {
   Runtime rt(small_config(ooc::Strategy::MultiIo));
   const auto slow = rt.config().model.slow;

@@ -455,6 +455,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Offline files are read strictly: an unreadable or unparsable
+  // --history-file / --cluster-file is an error, not a missing pane,
+  // so a mistyped path cannot pass for a snapshot without one.
+  const auto read_json_file = [](const std::string& path,
+                                 hmr::json::Value& out, std::string& err) {
+    std::string text;
+    std::string jerr;
+    if (!read_file(path, text, err)) return false;
+    if (!hmr::json::parse(text, out, &jerr)) {
+      err = "bad JSON in " + path + ": " + jerr;
+      return false;
+    }
+    return true;
+  };
+
   const auto fetch = [&](Frame& fr, std::string& err) {
     std::string status_text;
     if (offline) {
@@ -468,32 +483,25 @@ int main(int argc, char** argv) {
       err = "bad /status JSON: " + jerr;
       return false;
     }
-    std::string hist_text;
     if (offline) {
-      std::string ignored;
-      fr.have_history = !history_file.empty() &&
-                        read_file(history_file, hist_text, ignored);
-    } else {
-      std::string ignored;
-      // 404 just means Config::history_depth=0 — dashboard minus the
-      // sparklines, not an error.
-      fr.have_history =
-          http_get(host, static_cast<int>(port),
-                   "/history?metric=hmr_tier_used_bytes", hist_text,
-                   ignored);
+      if (!history_file.empty()) {
+        if (!read_json_file(history_file, fr.history, err)) return false;
+        fr.have_history = true;
+      }
+      if (!cluster_file.empty()) {
+        if (!read_json_file(cluster_file, fr.cluster, err)) return false;
+        fr.have_cluster = true;
+      }
+      return true;
     }
-    if (fr.have_history &&
-        !hmr::json::parse(hist_text, fr.history, &jerr)) {
-      fr.have_history = false;
-    }
-    std::string cluster_text;
+    std::string hist_text;
     std::string ignored;
-    fr.have_cluster =
-        !cluster_file.empty() && read_file(cluster_file, cluster_text, ignored);
-    if (fr.have_cluster &&
-        !hmr::json::parse(cluster_text, fr.cluster, &jerr)) {
-      fr.have_cluster = false;
-    }
+    // 404 just means Config::history_depth=0 — dashboard minus the
+    // sparklines, not an error.
+    fr.have_history =
+        http_get(host, static_cast<int>(port),
+                 "/history?metric=hmr_tier_used_bytes", hist_text, ignored) &&
+        hmr::json::parse(hist_text, fr.history, &jerr);
     return true;
   };
 
