@@ -9,6 +9,10 @@
 //     at least one chare's blocks per PE, serially, for all 64 PEs;
 //   * Multiple queues, no IO thread: modest speedup;
 //   * Multiple queues, multiple IO threads: best, up to ~2x.
+// At 8 GB reduced WSS MultipleIO ties NoIOthread: two 131 MiB chares
+// exceed a PE's fair share of MCDRAM (16 GiB / 64 PEs = 256 MiB), so no
+// PE fetches ahead of its running chare (EXPERIMENTS.md, Fig 8).  The
+// check therefore asks for MultipleIO >= NoIOthread.
 
 #include <iostream>
 
@@ -66,7 +70,8 @@ int main(int argc, char** argv) {
     const double noio = speedup(ooc::Strategy::SyncNoIo);
     const double multi = speedup(ooc::Strategy::MultiIo);
     if (check) {
-      // Fig 8's ordering: MultipleIO > NoIOthread > 1 > SingleIO, DDR < 1.
+      // Fig 8's ordering: MultipleIO >= NoIOthread > 1 > SingleIO,
+      // DDR < 1 (the two tie at 8 GB, see above).
       const bool ok = multi >= noio && noio > 1.0 && single < 1.0 &&
                       ddr < 1.0 && multi > 1.3;
       if (!ok) {
@@ -83,7 +88,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "speedup normalized to Naive (higher is better):\n";
   t.print(std::cout);
-  std::cout << "\nexpected shape: MultipleIO > NoIOthread > 1x > SingleIO\n";
+  std::cout << "\nexpected shape: MultipleIO >= NoIOthread > 1x > SingleIO\n";
   if (check) std::cout << "shape check passed\n";
   return 0;
 }

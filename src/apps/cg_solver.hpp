@@ -18,6 +18,15 @@
 // Reduction results, exactly like a Charm++ main chare.  Every vector
 // lives in IoHandles, so the whole Krylov state streams through the
 // fast tier under any scheduling strategy.
+//
+// The strip kernels and solve()'s b.b keep four independent partial
+// sums per dot product, added up in a fixed order, so no loop waits on
+// one floating-point add at a time and each strip's contribution is the
+// same on every run.  matvec peels the first and the last column, so
+// its inner loop has no branches.  serial_solve and apply_laplacian
+// stay the plain single-accumulator code and share nothing with these
+// kernels: they are the independent reference the checks compare
+// against (docs/PERF.md §5).
 
 #include <memory>
 #include <vector>

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <tuple>
 
 #include "apps/cg_solver.hpp"
 #include "apps/reference.hpp"
@@ -133,6 +137,88 @@ TEST(CgSolver, StreamsThroughTheFastTier) {
   EXPECT_EQ(st.tasks_run, 4u * 8 * 10);
   EXPECT_GT(st.fetch_bytes, 0u);
 }
+
+// Grid shapes that reach every peeled and tail path of the strip
+// kernels: one row per strip, n not a multiple of 4, one strip, and the
+// 1x1 grid, whose only column is both the first and the last.
+struct CgShape {
+  const char* name;
+  int n;
+  int strips;
+};
+
+void PrintTo(const CgShape& s, std::ostream* os) { *os << s.name; }
+
+class CgSolverShapes
+    : public ::testing::TestWithParam<std::tuple<CgShape, ooc::Strategy>> {
+protected:
+  CgParams params(int max_iterations, double tolerance) const {
+    CgParams p;
+    p.n = std::get<0>(GetParam()).n;
+    p.strips = std::get<0>(GetParam()).strips;
+    p.max_iterations = max_iterations;
+    p.tolerance = tolerance;
+    return p;
+  }
+  rt::Runtime::Config config() const {
+    return cfg(std::get<1>(GetParam()), /*pes=*/2);
+  }
+};
+
+TEST_P(CgSolverShapes, OneIterationMatchesSerialSolver) {
+  const CgParams p = params(/*max_iterations=*/1, /*tolerance=*/0.0);
+  rt::Runtime rt(config());
+  CgSolver app(rt, p);
+  const auto res = app.solve();
+  ASSERT_EQ(res.iterations, 1);
+
+  std::vector<double> x_ref;
+  const auto ref = CgSolver::serial_solve(app.rhs(), p.n, 1, 0.0, x_ref);
+  ASSERT_EQ(ref.iterations, 1);
+  EXPECT_EQ(res.converged, ref.converged);
+  EXPECT_NEAR(res.residual_norm2, ref.residual_norm2,
+              1e-12 * ref.residual_norm2);
+  const auto x = app.solution();
+  ASSERT_EQ(x.size(), x_ref.size());
+  double scale = 0;
+  for (const double v : x_ref) scale = std::max(scale, std::abs(v));
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_LE(std::abs(x[i] - x_ref[i]), 1e-12 * scale) << "at " << i;
+  }
+}
+
+TEST_P(CgSolverShapes, ConvergedSolveMatchesSerialSolver) {
+  const CgParams p = params(/*max_iterations=*/300, /*tolerance=*/1e-18);
+  rt::Runtime rt(config());
+  CgSolver app(rt, p);
+  const auto res = app.solve();
+  EXPECT_TRUE(res.converged);
+
+  std::vector<double> x_ref;
+  const auto ref = CgSolver::serial_solve(app.rhs(), p.n, p.max_iterations,
+                                          p.tolerance, x_ref);
+  EXPECT_TRUE(ref.converged);
+  const auto x = app.solution();
+  ASSERT_EQ(x.size(), x_ref.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_NEAR(x[i], x_ref[i], 1e-7) << "at " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, CgSolverShapes,
+    ::testing::Combine(
+        ::testing::Values(CgShape{"RowPerStrip", 8, 8},
+                          CgShape{"N13RowPerStrip", 13, 13},
+                          CgShape{"N15Rows3", 15, 5},
+                          CgShape{"OneStrip", 14, 1},
+                          CgShape{"OneByOne", 1, 1}),
+        ::testing::Values(ooc::Strategy::MultiIo, ooc::Strategy::SyncNoIo)),
+    [](const auto& pi) {
+      return std::string(std::get<0>(pi.param).name) + "_" +
+             ooc::strategy_name(std::get<1>(pi.param));
+    });
 
 } // namespace
 } // namespace hmr::apps
