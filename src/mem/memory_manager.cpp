@@ -175,7 +175,6 @@ void MemoryManager::unlink_deferred(BlockId b) {
 
 void MemoryManager::count_migration(TierId src, TierId dst,
                                     std::uint64_t bytes) {
-  std::lock_guard lock(stats_mu_);
   MigrationStats& s = stats_[src * arenas_.size() + dst];
   ++s.count;
   s.bytes += bytes;
@@ -252,83 +251,81 @@ TierId MemoryManager::block_tier(BlockId b) const {
   return blocks_[b].tier;
 }
 
-MigrateResult MemoryManager::try_swap(BlockId b, TierId dst,
-                                      bool copy_contents) {
-  HMR_CHECK_MSG(dst < arenas_.size(), "bad tier id");
-  MigrateResult r;
-  std::uint64_t bytes = 0;
-  TierId src_tier = 0;
-  {
-    std::lock_guard lock(blocks_mu_);
-    HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
-    BlockRec& rec = blocks_[b];
-    HMR_CHECK_MSG(!rec.migrating,
-                  "concurrent migration of one block (policy bug)");
-    if (rec.tier == dst) return r;
-    src_tier = rec.tier;
-    bytes = rec.bytes;
-    if (rec.shadow != nullptr && rec.shadow_tier == dst) {
-      if (shadow_audit_ && std::memcmp(rec.shadow, rec.ptr, bytes) != 0) {
-        char msg[256];
-        std::snprintf(msg, sizeof msg,
-                      "block %llu (%llu bytes): shadow on tier %u differs "
-                      "from the primary on tier %u (written through "
-                      "block_ptr() without a ReadWrite/WriteOnly "
-                      "dependency)",
-                      static_cast<unsigned long long>(b),
-                      static_cast<unsigned long long>(bytes),
-                      static_cast<unsigned>(dst),
-                      static_cast<unsigned>(rec.ptr_tier));
-        ::hmr::detail::check_failed("shadow coherent", __FILE__, __LINE__,
-                                    msg);
-      }
-      // The destination's shadow becomes the primary and the old
-      // primary stays behind as the new shadow.  (With copy_contents ==
-      // false the writer is about to rewrite the block, so the
-      // swapped-out primary is dropped instead: its contents will no
-      // longer match.)
-      if (rec.deferred()) unlink_deferred(b);
-      void* old_primary = rec.ptr;
-      const TierId old_tier = rec.ptr_tier;
-      rec.ptr = unlink_shadow(b);
-      rec.ptr_tier = dst;
-      if (copy_contents) {
-        link_shadow(b, old_primary, old_tier);
-      } else {
-        TierState& ts = *arenas_[old_tier];
-        std::lock_guard tier_lock(ts.mu);
-        free_locked(ts, old_primary, bytes);
-      }
-    } else if (rec.ptr_tier == dst) {
-      // Fetch back: the deferred bytes never left dst.
-      unlink_deferred(b);
-    } else if (dst == write_back_tier_ && deferrable(bytes)) {
-      // Deferral: only the logical tier moves; the bytes stay put until
-      // their tier needs the space (write_back_deferred).
-      link_deferred(b);
-      deferrals_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      return r;
-    }
-    rec.tier = dst;
-    --tier_blocks_[src_tier].primaries;
-    ++tier_blocks_[dst].primaries;
+std::size_t MemoryManager::try_swap_batch(std::span<SwapRequest> reqs) {
+  std::size_t n = 0;
+  std::lock_guard lock(blocks_mu_);
+  for (SwapRequest& q : reqs) {
+    q.ok = swap_locked(q.block, q.dst, q.copy_contents);
+    n += q.ok;
   }
-  zero_copy_admissions_.fetch_add(1, std::memory_order_relaxed);
-  zero_copy_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  return n;
+}
+
+bool MemoryManager::swap_locked(BlockId b, TierId dst, bool copy_contents) {
+  HMR_CHECK_MSG(dst < arenas_.size(), "bad tier id");
+  HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
+  BlockRec& rec = blocks_[b];
+  HMR_CHECK_MSG(!rec.migrating,
+                "concurrent migration of one block (policy bug)");
+  if (rec.tier == dst) return false;
+  const TierId src_tier = rec.tier;
+  const std::uint64_t bytes = rec.bytes;
+  if (rec.shadow != nullptr && rec.shadow_tier == dst) {
+    if (shadow_audit_ && std::memcmp(rec.shadow, rec.ptr, bytes) != 0) {
+      char msg[256];
+      std::snprintf(msg, sizeof msg,
+                    "block %llu (%llu bytes): shadow on tier %u differs "
+                    "from the primary on tier %u (written through "
+                    "block_ptr() without a ReadWrite/WriteOnly "
+                    "dependency)",
+                    static_cast<unsigned long long>(b),
+                    static_cast<unsigned long long>(bytes),
+                    static_cast<unsigned>(dst),
+                    static_cast<unsigned>(rec.ptr_tier));
+      ::hmr::detail::check_failed("shadow coherent", __FILE__, __LINE__,
+                                  msg);
+    }
+    // The destination's shadow becomes the primary and the old primary
+    // stays behind as the new shadow.  (With copy_contents == false the
+    // writer is about to rewrite the block, so the swapped-out primary
+    // is dropped instead: its contents will no longer match.)
+    if (rec.deferred()) unlink_deferred(b);
+    void* old_primary = rec.ptr;
+    const TierId old_tier = rec.ptr_tier;
+    rec.ptr = unlink_shadow(b);
+    rec.ptr_tier = dst;
+    if (copy_contents) {
+      link_shadow(b, old_primary, old_tier);
+    } else {
+      TierState& ts = *arenas_[old_tier];
+      std::lock_guard tier_lock(ts.mu);
+      free_locked(ts, old_primary, bytes);
+    }
+  } else if (rec.ptr_tier == dst) {
+    // Fetch back: the deferred bytes never left dst.
+    unlink_deferred(b);
+  } else if (dst == write_back_tier_ && deferrable(bytes)) {
+    // Deferral: only the logical tier moves; the bytes stay put until
+    // their tier needs the space (write_back_deferred).
+    link_deferred(b);
+    ++counters_.deferrals;
+  } else {
+    return false;
+  }
+  rec.tier = dst;
+  --tier_blocks_[src_tier].primaries;
+  ++tier_blocks_[dst].primaries;
+  ++counters_.zero_copy_admissions;
+  counters_.zero_copy_bytes += bytes;
   // The logical migration still happened: traffic stats stay identical
   // with zero-copy on or off (equivalence contract).
   count_migration(src_tier, dst, bytes);
-  r.ok = true;
-  r.zero_copy = true;
-  return r;
+  return true;
 }
 
 MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
                                      bool copy_contents) {
-  MigrateResult r = try_swap(b, dst, copy_contents);
-  if (r.ok) return r;
-
+  MigrateResult r;
   void* src_ptr = nullptr;
   std::uint64_t bytes = 0;
   TierId src_tier = 0; // logical source, for the traffic stats
@@ -336,6 +333,10 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
   bool was_deferred = false;
   {
     std::lock_guard lock(blocks_mu_);
+    if (swap_locked(b, dst, copy_contents)) {
+      r.ok = r.zero_copy = true;
+      return r;
+    }
     BlockRec& rec = blocks_[b];
     if (rec.tier == dst) {
       r.ok = true;
@@ -408,8 +409,8 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
     --tier_blocks_[src_tier].primaries;
     ++tier_blocks_[dst].primaries;
     if (retain) link_shadow(b, src_ptr, src_home);
+    count_migration(src_tier, dst, bytes);
   }
-  count_migration(src_tier, dst, bytes);
   r.ok = true;
   return r;
 }
@@ -417,9 +418,7 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
 void MemoryManager::mark_dirty(BlockId b) {
   std::lock_guard lock(blocks_mu_);
   HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
-  if (drop_shadow(b)) {
-    shadow_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (drop_shadow(b)) ++counters_.shadow_invalidations;
 }
 
 void MemoryManager::reclaim_shadows(TierId t) {
@@ -434,8 +433,7 @@ void MemoryManager::reclaim_shadows(TierId t) {
     ts.arena->free(blocks_[b].shadow);
     blocks_[b].shadow = nullptr;
   }
-  shadow_invalidations_.fetch_add(tb.shadows.size(),
-                                  std::memory_order_relaxed);
+  counters_.shadow_invalidations += tb.shadows.size();
   tb.shadows.clear();
   tb.shadow_bytes = 0;
 }
@@ -459,8 +457,8 @@ void MemoryManager::write_back_deferred(TierId t) {
     }
     rec.ptr = home;
     rec.ptr_tier = rec.tier;
-    write_backs_.fetch_add(1, std::memory_order_relaxed);
-    write_back_bytes_.fetch_add(rec.bytes, std::memory_order_relaxed);
+    ++counters_.write_backs;
+    counters_.write_back_bytes += rec.bytes;
   }
 }
 
@@ -590,8 +588,13 @@ const TierArena& MemoryManager::tier_arena(TierId t) const {
 
 MigrationStats MemoryManager::migration_stats(TierId src, TierId dst) const {
   HMR_CHECK(src < arenas_.size() && dst < arenas_.size());
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(blocks_mu_);
   return stats_[src * arenas_.size() + dst];
+}
+
+MemoryManager::Counters MemoryManager::counters() const {
+  std::lock_guard lock(blocks_mu_);
+  return counters_;
 }
 
 PoolStats MemoryManager::pool_stats(TierId t) const {

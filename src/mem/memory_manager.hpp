@@ -19,18 +19,19 @@
 // could be avoided if we maintain a memory pool in each memory type");
 // bench/abl_pool_migrate measures what it buys.
 //
-// Thread safety: all metadata operations take an internal mutex.  The
-// memcpy itself runs outside the lock, so concurrent migrations of
-// *different* blocks proceed in parallel.  Callers (the ooc policy)
-// guarantee a block is never migrated concurrently with itself or with
-// a task reading it — that is precisely the refcount/state protocol the
-// paper's runtime enforces.
+// Thread safety: all block metadata operations take one internal
+// mutex, and the counters are updated inside the sections that already
+// hold it.  The memcpy itself runs outside the lock, so concurrent
+// migrations of *different* blocks proceed in parallel.  Callers (the
+// ooc policy) guarantee a block is never migrated concurrently with
+// itself or with a task reading it — that is precisely the
+// refcount/state protocol the paper's runtime enforces.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,15 @@ struct MigrateResult {
   std::uint32_t chunks = 0;          // chunks copied (chunked only)
   std::uint32_t assisted_chunks = 0; // copied by assisting threads
   double total() const { return alloc_s + copy_s + free_s; }
+};
+
+/// One request of MemoryManager::try_swap_batch(), with its outcome in
+/// `ok`.  Trivial, so a batch can sit in an uninitialized stack buffer.
+struct SwapRequest {
+  BlockId block;
+  TierId dst;
+  bool copy_contents;
+  bool ok; // out: completed without a copy
 };
 
 struct TierUsage {
@@ -184,14 +194,16 @@ public:
   void set_zero_copy(bool on) { zero_copy_ = on; }
   bool zero_copy_enabled() const { return zero_copy_; }
 
-  /// Copy-free migration: complete the migration without an alloc,
-  /// copy or free when `dst` holds `b`'s valid shadow (a swap), holds
-  /// its deferred bytes (a fetch back), or is the write-back tier and
-  /// the block may defer; return ok with zero_copy set.  Otherwise do
-  /// nothing and return ok = false.  The runtime runs it on whichever
-  /// thread receives the command.  `copy_contents` has migrate()'s
-  /// meaning.
-  MigrateResult try_swap(BlockId b, TierId dst, bool copy_contents = true);
+  /// Copy-free migrations, in request order under one hold of the
+  /// block lock.  A request completes without an alloc, copy or free
+  /// when `dst` holds the block's valid shadow (a swap), holds its
+  /// deferred bytes (a fetch back), or is the write-back tier and the
+  /// block may defer; otherwise nothing happens to it.  Sets each
+  /// request's `ok` and returns how many completed.  `copy_contents`
+  /// has migrate()'s meaning.  The runtime attempts each command batch
+  /// this way, on whichever thread receives it; migrate() makes the
+  /// same attempt first.
+  std::size_t try_swap_batch(std::span<SwapRequest> reqs);
 
   /// Coherence audit: every swap first compares the shadow with the
   /// primary and aborts, naming the block, if they differ — i.e. if
@@ -206,14 +218,12 @@ public:
 
   /// Migrations admitted without a copy, and the bytes they skipped.
   std::uint64_t zero_copy_admissions() const {
-    return zero_copy_admissions_.load(std::memory_order_relaxed);
+    return counters().zero_copy_admissions;
   }
-  std::uint64_t zero_copy_bytes() const {
-    return zero_copy_bytes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t zero_copy_bytes() const { return counters().zero_copy_bytes; }
   /// Shadows dropped by mark_dirty (writes) and by capacity reclaim.
   std::uint64_t shadow_invalidations() const {
-    return shadow_invalidations_.load(std::memory_order_relaxed);
+    return counters().shadow_invalidations;
   }
 
   // ---- deferred write-back (docs/PERF.md §4) ----
@@ -238,14 +248,10 @@ public:
 
   /// Migrations completed as a deferral, and deferred blocks copied
   /// out to their logical tier (with the bytes copied).
-  std::uint64_t deferrals() const {
-    return deferrals_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t write_backs() const {
-    return write_backs_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t deferrals() const { return counters().deferrals; }
+  std::uint64_t write_backs() const { return counters().write_backs; }
   std::uint64_t write_back_bytes() const {
-    return write_back_bytes_.load(std::memory_order_relaxed);
+    return counters().write_back_bytes;
   }
 
   /// Ledger audit: the shadow and deferred lists match the block
@@ -297,6 +303,17 @@ private:
     mutable std::mutex mu;
   };
 
+  /// Zero-copy and write-back counters, guarded by blocks_mu_: every
+  /// event they count already holds it.
+  struct Counters {
+    std::uint64_t zero_copy_admissions = 0;
+    std::uint64_t zero_copy_bytes = 0;
+    std::uint64_t shadow_invalidations = 0;
+    std::uint64_t deferrals = 0;
+    std::uint64_t write_backs = 0;
+    std::uint64_t write_back_bytes = 0;
+  };
+
   /// Per-tier block bookkeeping, guarded by blocks_mu_.
   struct TierBlocks {
     std::vector<BlockId> shadows;  // blocks whose shadow lives here
@@ -339,7 +356,12 @@ private:
   void* unlink_shadow(BlockId b);
   void link_deferred(BlockId b);
   void unlink_deferred(BlockId b);
+  /// One copy-free attempt (blocks_mu_ held); true when the migration
+  /// completed.
+  bool swap_locked(BlockId b, TierId dst, bool copy_contents);
+  /// Logical traffic of one completed migration.
   void count_migration(TierId src, TierId dst, std::uint64_t bytes);
+  Counters counters() const;
 
   std::vector<std::unique_ptr<TierState>> arenas_;
   bool pool_enabled_;
@@ -349,20 +371,13 @@ private:
   std::uint64_t chunk_threshold_ = 0; // 0 = chunking off
   ChunkRing ring_;
 
-  std::atomic<std::uint64_t> zero_copy_admissions_{0};
-  std::atomic<std::uint64_t> zero_copy_bytes_{0};
-  std::atomic<std::uint64_t> shadow_invalidations_{0};
-  std::atomic<std::uint64_t> deferrals_{0};
-  std::atomic<std::uint64_t> write_backs_{0};
-  std::atomic<std::uint64_t> write_back_bytes_{0};
-
+  // Block metadata, residence lists and every counter, under one lock.
   mutable std::mutex blocks_mu_;
   std::vector<BlockRec> blocks_;
   std::vector<TierBlocks> tier_blocks_;
-
+  Counters counters_;
   // stats_[src * num_tiers + dst]
   std::vector<MigrationStats> stats_;
-  mutable std::mutex stats_mu_;
 };
 
 } // namespace hmr::mem

@@ -90,12 +90,12 @@ public:
     bool metrics = false;
     /// Block flight recorder depth: keep the last N residency
     /// transitions per live block for post-mortem debugging (0
-    /// disables).  One striped-map update per migration, one ring of
-    /// N slots per live block, dropped by free_block().  Not free on
-    /// swap-heavy work: HMR_FLIGHT_DEPTH=0 cut perfbench cg_fine
-    /// step_p50_ms by 6.5% (6 of 6 same-binary pairs, 4-vCPU x86-64
-    /// guest; docs/OBSERVABILITY.md §5).  On by default.  The
-    /// HMR_FLIGHT_DEPTH environment variable overrides this at
+    /// disables).  One table lookup and one uncontended ring guard per
+    /// migration, no mutex; one ring of N slots per live block,
+    /// dropped by free_block().  HMR_FLIGHT_DEPTH=0 cuts perfbench
+    /// cg_fine step_p50_ms by 2.3% (6 of 6 same-binary pairs, 4-vCPU
+    /// x86-64 guest; docs/OBSERVABILITY.md §5), so it is on by default.
+    /// The HMR_FLIGHT_DEPTH environment variable overrides this at
     /// construction (clamped to [0, 1024]).
     std::size_t flight_depth = 8;
     /// Metrics history ring: keep the last N registry snapshots, one
@@ -403,9 +403,10 @@ private:
   /// fetch bookkeeping of one finished migration.
   void record_migration(const ooc::Command& cmd, bool copied, double ts,
                         double te, int trace_lane);
-  /// Dispatch engine commands.  Fetch/Evict commands whose destination
-  /// holds the block's shadow complete right here as swaps; only real
-  /// copies go to the IO threads.
+  /// Dispatch engine commands.  The batch's IO-bound Fetch/Evict
+  /// commands first try the copy-free path together, under one hold of
+  /// the MemoryManager's block lock (try_swap_batch); those that swap
+  /// complete right here, and only real copies go to the IO threads.
   void process(std::vector<ooc::Command> cmds, int context_lane);
   /// Hold the engine lock for a visit to engine_: engine_mu_ (counted
   /// in lock_stats slot 0) when the innermost engine is serial_, no

@@ -9,18 +9,34 @@
 // debugging can replay exactly the path one block took through the
 // hierarchy.
 //
-// Writers are the executors' migration completion paths (rare relative
-// to task execution); a small striped-mutex map keeps them from
-// contending without the complexity of a lock-free multimap.
+// Writers are the executors' migration completion paths — on the
+// threaded runtime every PE records a batch of swaps at the same
+// moments — so record() takes no mutex and computes no hash.  Block
+// ids are dense per executor and never reused, so each block's ring
+// hangs off a table indexed by id: a fixed 2 KiB directory of pages,
+// each page 256 chunk pointers, each chunk 256 ring pointers (the
+// chunked-table idiom of ShardedEngine's block table, one level
+// deeper).  record() installs a missing page, chunk or ring with one
+// compare-and-swap and writes under the ring's own guard, a spin flag
+// only a reader of that block can contend.  The readers (forget,
+// history, total_recorded, dump) serialize on one mutex record() never
+// takes, so a reader never sees a ring forget() is freeing.
 //
-// Memory is bounded by the blocks that are live: a block's ring is
-// allocated once, at full depth, on its first transition, and
-// forget() drops it when the block is freed.
+// Memory grows with the blocks recorded and shrinks as they are
+// forgotten: a block's ring of N slots lives from its first transition
+// to its forget(), and a 2 KiB chunk from the first record (or forget)
+// of one of its 256 ids until all 256 are forgotten.  forget() is for
+// freed blocks, whose ids the executors never reuse: recording a block
+// during or after its forget() is a caller error (while its chunk
+// lives, such a record is dropped).  Ids from kMaxBlocks up are not
+// recorded and have no history.
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "ooc/types.hpp"
@@ -46,19 +62,29 @@ public:
     bool fetch = false; // promotion (fetch) vs demotion (evict)
   };
 
+  /// Block ids the table covers (the sharded engine's id space too).
+  static constexpr std::uint64_t kMaxBlocks = 1ull << 24;
+
   /// Keep the last `depth` transitions per block.
   explicit BlockFlightRecorder(std::size_t depth = 8);
+  ~BlockFlightRecorder();
+
+  BlockFlightRecorder(const BlockFlightRecorder&) = delete;
+  BlockFlightRecorder& operator=(const BlockFlightRecorder&) = delete;
 
   std::size_t depth() const { return depth_; }
 
+  /// No-op for ids >= kMaxBlocks.
   void record(ooc::BlockId b, const Transition& t);
 
-  /// Drop the block's history (it was freed): afterwards history(b)
-  /// is empty and total_recorded(b) is 0.
+  /// Drop the block's history (it was freed, and its id is not
+  /// reused): afterwards history(b) is empty and total_recorded(b) 0.
   void forget(ooc::BlockId b);
 
   /// Blocks with a retained history.
-  std::size_t tracked_blocks() const;
+  std::size_t tracked_blocks() const {
+    return tracked_.load(std::memory_order_relaxed);
+  }
 
   /// The block's retained transitions, oldest first; and how many were
   /// recorded in total (>= history().size() once the ring wrapped).
@@ -71,22 +97,46 @@ public:
 
 private:
   struct Ring {
-    std::vector<Transition> slots;
-    std::uint64_t n = 0; // total recorded; slots[n % depth] is next
+    explicit Ring(std::size_t depth) : slots(new Transition[depth]) {}
+    /// Guard between record() and a reader of this block.
+    std::atomic<bool> busy{false};
+    std::uint32_t next = 0; // slot the next record writes
+    std::uint64_t n = 0;    // total recorded
+    std::unique_ptr<Transition[]> slots;
   };
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<ooc::BlockId, Ring> blocks;
+  static constexpr std::size_t kChunkShift = 8;
+  static constexpr std::size_t kPageShift = 8;
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+  static constexpr std::size_t kPageSize = std::size_t{1} << kPageShift;
+  static constexpr std::size_t kPages =
+      kMaxBlocks >> (kChunkShift + kPageShift);
+  struct Chunk {
+    /// nullptr = no history yet, retired() = forgotten.
+    std::atomic<Ring*> rings[kChunkSize] = {};
+    std::size_t forgotten = 0; // retired slots; guarded by readers_mu_
   };
-  static constexpr std::size_t kStripes = 16;
+  struct Page {
+    std::atomic<Chunk*> chunks[kPageSize] = {};
+  };
+  struct Snapshot {
+    std::uint64_t total = 0;
+    std::vector<Transition> hist; // oldest first
+  };
 
-  Stripe& stripe(ooc::BlockId b) { return stripes_[b % kStripes]; }
-  const Stripe& stripe(ooc::BlockId b) const {
-    return stripes_[b % kStripes];
-  }
+  /// Marks a forgotten block's slot (never dereferenced).
+  static Ring* retired() { return reinterpret_cast<Ring*>(alignof(Ring)); }
+  /// b's ring slot, or nullptr when its chunk is not allocated.
+  std::atomic<Ring*>* find(ooc::BlockId b) const;
+  /// Ring and total of b, read under one hold of its guard.  Caller
+  /// holds readers_mu_.
+  Snapshot snapshot(ooc::BlockId b) const;
+  static void write_block(std::ostream& os, ooc::BlockId b,
+                          const Snapshot& s);
 
   std::size_t depth_;
-  Stripe stripes_[kStripes];
+  std::array<std::atomic<Page*>, kPages> pages_ = {};
+  std::atomic<std::size_t> tracked_{0};
+  mutable std::mutex readers_mu_;
 };
 
 } // namespace hmr::telemetry

@@ -426,6 +426,18 @@ TEST(RuntimeIntrospect, BlockIdsMustBePlainDigits) {
           << route << bad;
     }
   }
+  // Any 64-bit id is valid; one past the flight recorder's table (or
+  // never allocated) has no history.
+  for (const char* id : {"1099511627776", "9223372036854775808",
+                         "18446744073709551615"}) {
+    const std::string resp = http_get(rt.serve_port(),
+                                      std::string("/blocks?id=") + id);
+    EXPECT_NE(resp.find("200 OK"), std::string::npos) << id;
+    EXPECT_NE(resp.find(std::string("{\"block\":") + id +
+                        ",\"transitions\":[]}"),
+              std::string::npos)
+        << resp;
+  }
 }
 
 TEST(RuntimeIntrospect, WatchdogSilentOnHealthyRun) {

@@ -19,6 +19,13 @@ MemoryManager make_two_tier(bool pool = false) {
   return MemoryManager({{"DDR4", 8 * MiB}, {"MCDRAM", 2 * MiB}}, pool);
 }
 
+/// One copy-free migration attempt: a batch of one.
+bool try_swap(MemoryManager& mm, BlockId b, TierId dst,
+              bool copy_contents = true) {
+  SwapRequest q{b, dst, copy_contents, false};
+  return mm.try_swap_batch({&q, 1}) == 1 && q.ok;
+}
+
 TEST(MemoryManager, RawAllocRespectsTierCapacity) {
   auto mm = make_two_tier();
   void* p = mm.alloc_on_tier(1 * MiB, 1);
@@ -353,12 +360,11 @@ TEST(MemoryManagerZeroCopy, TrySwapDoesNothingWithoutAShadow) {
   auto mm = make_two_tier();
   mm.set_zero_copy(true);
   const BlockId b = mm.register_block(64 * KiB, 0);
-  EXPECT_FALSE(mm.try_swap(b, 1).ok);
+  EXPECT_FALSE(try_swap(mm, b, 1));
   EXPECT_EQ(mm.block_tier(b), 0u);
   ASSERT_TRUE(mm.migrate(b, 1).ok);
-  EXPECT_FALSE(mm.try_swap(b, 1).ok); // already there, shadow elsewhere
-  const auto r = mm.try_swap(b, 0);
-  EXPECT_TRUE(r.ok && r.zero_copy);
+  EXPECT_FALSE(try_swap(mm, b, 1)); // already there, shadow elsewhere
+  EXPECT_TRUE(try_swap(mm, b, 0));
   EXPECT_EQ(mm.block_tier(b), 0u);
   EXPECT_EQ(mm.migration_stats(1, 0).count, 1u);
 }
@@ -451,8 +457,7 @@ TEST(MemoryManagerDeferred, DeferThenFetchBackMovesZeroBytes) {
   EXPECT_EQ(mm.usage(0).live_blocks, 1u);
   EXPECT_TRUE(mm.audit_ledger().empty());
 
-  const MigrateResult back = mm.try_swap(b, 1);
-  EXPECT_TRUE(back.ok && back.zero_copy);
+  EXPECT_TRUE(try_swap(mm, b, 1)); // a fetch back
   EXPECT_EQ(mm.block_ptr(b), fast);
   EXPECT_EQ(mm.block_tier(b), 1u);
   EXPECT_EQ(mm.usage(1).deferred, 0u);
@@ -601,6 +606,187 @@ TEST(MemoryManagerDeferred, LedgerAuditCatchesAnUnaccountedBuffer) {
   const auto v = mm.audit_ledger();
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NE(v[0].find("arena used"), std::string::npos) << v[0];
+}
+
+// ------------------------------------------------------- batched swaps
+
+/// Where a block's bytes are, comparable across two managers built the
+/// same way: the owning tier and the offset from that tier's anchor (a
+/// block registered first on it, never moved; arenas place first fit).
+struct Residence {
+  TierId tier = 0;
+  std::ptrdiff_t offset = 0;
+  bool operator==(const Residence&) const = default;
+};
+
+TEST(MemoryManagerZeroCopy, BatchSwapMatchesOneByOne) {
+  enum : int { kSwapDown, kFetchBack, kDefer, kNoCopy, kMiss, kHere, kSwapUp };
+  constexpr int kCases = 7;
+  const auto build = [](MemoryManager& mm, std::vector<BlockId>& ids,
+                        std::vector<SwapRequest>& reqs) {
+    defer_into_ddr(mm);
+    std::vector<unsigned char*> anchors;
+    for (TierId t : {TierId{0}, TierId{1}}) {
+      anchors.push_back(
+          static_cast<unsigned char*>(mm.block_ptr(mm.register_block(4 * KiB, t))));
+    }
+    ids.clear();
+    for (int c = 0; c < kCases; ++c) {
+      const BlockId b = mm.register_block((c + 1) * 16 * KiB, 0);
+      fill(mm, b, static_cast<unsigned char>(c + 1));
+      ids.push_back(b);
+    }
+    // Every copy first: a later allocation could reclaim the shadows
+    // and write back the deferred bytes set up below.  Each leaves a
+    // shadow on tier 0.
+    for (int c : {kSwapDown, kNoCopy, kFetchBack, kDefer, kHere, kSwapUp}) {
+      EXPECT_TRUE(mm.migrate(ids[c], 1).ok);
+    }
+    // Bytes deferred on tier 1 while the block is logically on 0.
+    mm.mark_dirty(ids[kFetchBack]);
+    EXPECT_TRUE(mm.migrate(ids[kFetchBack], 0).zero_copy);
+    // Dirty on tier 1: its eviction into tier 0 defers.
+    mm.mark_dirty(ids[kDefer]);
+    // Shadow on tier 1.
+    EXPECT_TRUE(mm.migrate(ids[kSwapUp], 0).zero_copy);
+    reqs = {{ids[kSwapDown], 0, true, false},
+            {ids[kFetchBack], 1, true, false},
+            {ids[kDefer], 0, true, false},
+            {ids[kNoCopy], 0, false, false},
+            {ids[kMiss], 1, true, false}, // no shadow, not write-back
+            {ids[kHere], 1, true, false},
+            {ids[kSwapUp], 1, true, false}};
+    return anchors;
+  };
+  const auto residence = [](MemoryManager& mm,
+                            const std::vector<unsigned char*>& anchors,
+                            BlockId b) {
+    const auto* p = static_cast<unsigned char*>(mm.block_ptr(b));
+    for (TierId t = 0; t < 2; ++t) {
+      if (mm.tier_arena(t).owns(p)) return Residence{t, p - anchors[t]};
+    }
+    ADD_FAILURE() << "block " << b << " lives in no arena";
+    return Residence{};
+  };
+
+  auto one = make_two_tier();
+  std::vector<BlockId> ids_one;
+  std::vector<SwapRequest> reqs_one;
+  const auto anchors_one = build(one, ids_one, reqs_one);
+  for (SwapRequest& q : reqs_one) {
+    q.ok = try_swap(one, q.block, q.dst, q.copy_contents);
+  }
+
+  auto batch = make_two_tier();
+  std::vector<BlockId> ids;
+  std::vector<SwapRequest> reqs;
+  const auto anchors = build(batch, ids, reqs);
+  EXPECT_EQ(batch.try_swap_batch(reqs), 5u);
+
+  const std::vector<bool> want = {true, true, true, true, false, false, true};
+  for (int c = 0; c < kCases; ++c) {
+    EXPECT_EQ(reqs[c].ok, want[c]) << "case " << c;
+    EXPECT_EQ(reqs[c].ok, reqs_one[c].ok) << "case " << c;
+    EXPECT_EQ(residence(batch, anchors, ids[c]),
+              residence(one, anchors_one, ids_one[c]))
+        << "case " << c;
+    EXPECT_EQ(batch.block_tier(ids[c]), one.block_tier(ids_one[c]));
+    if (c != kNoCopy) { // its contents are indeterminate by contract
+      EXPECT_TRUE(holds(batch, ids[c], static_cast<unsigned char>(c + 1)))
+          << "case " << c;
+    }
+  }
+  for (TierId t = 0; t < 2; ++t) {
+    const TierUsage a = batch.usage(t);
+    const TierUsage b = one.usage(t);
+    EXPECT_EQ(a.used, b.used) << t;
+    EXPECT_EQ(a.shadow, b.shadow) << t;
+    EXPECT_EQ(a.deferred, b.deferred) << t;
+    EXPECT_EQ(a.high_water, b.high_water) << t;
+    EXPECT_EQ(a.largest_free, b.largest_free) << t;
+    EXPECT_EQ(a.live_blocks, b.live_blocks) << t;
+    for (TierId d = 0; d < 2; ++d) {
+      EXPECT_EQ(batch.migration_stats(t, d).count,
+                one.migration_stats(t, d).count);
+      EXPECT_EQ(batch.migration_stats(t, d).bytes,
+                one.migration_stats(t, d).bytes);
+    }
+  }
+  EXPECT_EQ(batch.zero_copy_admissions(), one.zero_copy_admissions());
+  EXPECT_EQ(batch.zero_copy_bytes(), one.zero_copy_bytes());
+  EXPECT_EQ(batch.deferrals(), one.deferrals());
+  EXPECT_EQ(batch.shadow_invalidations(), one.shadow_invalidations());
+  EXPECT_TRUE(batch.audit_ledger().empty());
+  EXPECT_TRUE(one.audit_ledger().empty());
+}
+
+TEST(MemoryManagerConcurrency, BatchSwapsOfDistinctBlocks) {
+  // Three threads ping-pong disjoint blocks between their primary and
+  // shadow in batches while a fourth reads the counters and usage.
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 8;
+  constexpr int kRounds = 200;
+  constexpr std::uint64_t kBytes = 16 * KiB;
+  MemoryManager mm({{"DDR4", 8 * MiB}, {"MCDRAM", 8 * MiB}});
+  mm.set_zero_copy(true);
+  std::vector<BlockId> ids;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    const BlockId b = mm.register_block(kBytes, 0);
+    ASSERT_NE(b, kInvalidBlock);
+    std::memset(mm.block_ptr(b), i + 1, kBytes);
+    ids.push_back(b);
+  }
+  // After every registration: growing tier 0 would reclaim its shadows.
+  for (const BlockId b : ids) {
+    ASSERT_TRUE(mm.migrate(b, 1).ok); // copies; the shadow stays on 0
+  }
+  std::atomic<int> running{kThreads};
+  std::atomic<int> misses{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<SwapRequest> reqs;
+      for (int r = 0; r < kRounds; ++r) {
+        reqs.clear();
+        for (int j = 0; j < kPerThread; ++j) {
+          reqs.push_back({ids[static_cast<std::size_t>(t * kPerThread + j)],
+                          static_cast<TierId>(r % 2 == 0 ? 0 : 1), true,
+                          false});
+        }
+        const std::size_t n = mm.try_swap_batch(reqs);
+        misses.fetch_add(kPerThread - static_cast<int>(n));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last = 0;
+  while (running.load() > 0) {
+    // Swaps only add to both counts, the copies above only to `moved`.
+    const std::uint64_t swapped = mm.zero_copy_admissions();
+    const std::uint64_t moved =
+        mm.migration_stats(0, 1).count + mm.migration_stats(1, 0).count;
+    EXPECT_LE(swapped + ids.size(), moved);
+    EXPECT_GE(moved, last); // monotonic
+    last = moved;
+    for (TierId t : {TierId{0}, TierId{1}}) {
+      const TierUsage u = mm.usage(t);
+      EXPECT_EQ(u.shadow + u.live_blocks * kBytes, u.used);
+    }
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(misses.load(), 0);
+  constexpr std::uint64_t kSwaps = kThreads * kPerThread * kRounds;
+  EXPECT_EQ(mm.zero_copy_admissions(), kSwaps);
+  EXPECT_EQ(mm.zero_copy_bytes(), kSwaps * kBytes);
+  EXPECT_EQ(mm.migration_stats(1, 0).count, kSwaps / 2);
+  EXPECT_EQ(mm.migration_stats(0, 1).count, kSwaps / 2 + ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(mm.block_tier(ids[i]), 1u); // an even number of swaps
+    const auto* p = static_cast<const unsigned char*>(mm.block_ptr(ids[i]));
+    EXPECT_EQ(p[0], static_cast<unsigned char>(i + 1));
+    EXPECT_EQ(p[kBytes - 1], static_cast<unsigned char>(i + 1));
+  }
+  EXPECT_TRUE(mm.audit_ledger().empty());
 }
 
 TEST(MemoryManager, DeadBlockAccessDies) {

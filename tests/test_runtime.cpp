@@ -595,6 +595,73 @@ TEST(Runtime, DeferredWriteBackKeepsContentsUnderPressure) {
   }
 }
 
+TEST(Runtime, SwapBatchLargerThanItsStackBufferCompletes) {
+  // One PE intercepts 16 tasks of 6 read-only blocks each in one batch:
+  // 96 fetches reach one process() call, more than its stack buffer of
+  // swap requests holds.  Round 1 copies; in round 2 a fetch swaps back
+  // onto the shadow round 1 left unless an allocation reclaimed it, so
+  // the batch mixes swaps and copies by timing.  Audited wait_idle calls
+  // check the engine and the memory ledger after each round.
+  auto cfg = small_config(ooc::Strategy::MultiIo, /*pes=*/1);
+  cfg.audit = 1;
+  cfg.trace = true;
+  Runtime rt(cfg);
+  static constexpr int kTasks = 16;
+  static constexpr int kDeps = 6;
+  std::vector<std::unique_ptr<IoHandle<double>>> hs;
+  for (int b = 0; b < kTasks * kDeps; ++b) {
+    hs.push_back(std::make_unique<IoHandle<double>>(rt, 512));
+    for (std::uint64_t i = 0; i < 512; ++i) (*hs.back())[i] = b;
+  }
+  std::atomic<int> wrong{0};
+  const auto round = [&] {
+    std::vector<Runtime::PrefetchMsg> msgs;
+    for (int t = 0; t < kTasks; ++t) {
+      Runtime::PrefetchMsg m;
+      std::vector<IoHandle<double>*> mine;
+      for (int d = 0; d < kDeps; ++d) {
+        IoHandle<double>& h = *hs[static_cast<std::size_t>(t * kDeps + d)];
+        m.deps.push_back(h.dep(ooc::AccessMode::ReadOnly));
+        mine.push_back(&h);
+      }
+      m.body = [&wrong, mine, t] {
+        for (int d = 0; d < kDeps; ++d) {
+          const IoHandle<double>& h = *mine[static_cast<std::size_t>(d)];
+          if (h[0] != t * kDeps + d || h[511] != t * kDeps + d) ++wrong;
+        }
+      };
+      msgs.push_back(std::move(m));
+    }
+    rt.send_prefetch_batch(0, std::move(msgs));
+    rt.wait_idle();
+  };
+  round();
+  const std::uint64_t swaps_before = rt.memory().zero_copy_admissions();
+  const double t_round2 = rt.now();
+  round();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(rt.tasks_executed(), 2u * kTasks);
+  // Round 2 nothing allocates on the slow tier, so every eviction
+  // swaps back onto the shadow its fetch left there.
+  EXPECT_GE(rt.memory().zero_copy_admissions() - swaps_before,
+            static_cast<std::uint64_t>(kTasks * kDeps));
+  std::size_t fetches = 0, swapped = 0;
+  double swap_s = 0;
+  for (const auto& iv : rt.tracer().intervals()) {
+    if (iv.cat != trace::Category::Prefetch || iv.start < t_round2) continue;
+    EXPECT_LE(iv.start, iv.end);
+    ++fetches;
+    if (iv.bytes == 0) { // a swap: its share of the batch's span
+      ++swapped;
+      swap_s += iv.end - iv.start;
+    }
+  }
+  EXPECT_EQ(fetches, static_cast<std::size_t>(kTasks * kDeps));
+  if (swapped > 0) {
+    EXPECT_GT(swap_s, 0.0);
+  }
+}
+
 TEST(RuntimeDeathTest, WriteUnderReadOnlyDependencyFailsCoherenceAudit) {
   // The one contract shadows add: writes go through declared
   // ReadWrite/WriteOnly dependencies.  This body writes under a

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <random>
@@ -700,6 +703,135 @@ TEST(TelemetryFlight, ForgetDropsABlocksHistory) {
   std::ostringstream os;
   fr.dump(os);
   EXPECT_TRUE(os.str().empty());
+}
+
+TEST(TelemetryFlight, IdsOutsideTheTableHaveNoHistory) {
+  telemetry::BlockFlightRecorder fr(/*depth=*/4);
+  telemetry::BlockFlightRecorder::Transition t;
+  t.bytes = 64;
+  const ooc::BlockId last = telemetry::BlockFlightRecorder::kMaxBlocks - 1;
+  fr.record(last, t); // the table's last id is recorded
+  EXPECT_EQ(fr.total_recorded(last), 1u);
+  for (const ooc::BlockId b :
+       {telemetry::BlockFlightRecorder::kMaxBlocks, ooc::BlockId{1} << 40,
+        ooc::BlockId{1} << 63, ~ooc::BlockId{0}}) {
+    fr.record(b, t);
+    EXPECT_TRUE(fr.history(b).empty()) << b;
+    EXPECT_EQ(fr.total_recorded(b), 0u) << b;
+    fr.forget(b); // a no-op
+  }
+  EXPECT_EQ(fr.tracked_blocks(), 1u);
+  std::ostringstream os;
+  fr.dump(os);
+  EXPECT_EQ(os.str(), "block " + std::to_string(last) +
+                          " (1 transitions, last 1):\n  t=0 evict 0->0 "
+                          "bytes=64\n");
+}
+
+TEST(TelemetryFlight, ConcurrentRecordersAndReaders) {
+  // Four writers record disjoint, interleaved ids (so they share chunks
+  // and cache lines) while a reader walks every read path and forgets
+  // every third block once its writer is done with it.  Each record's
+  // time is its index, so a snapshot is consistent exactly when its
+  // times are consecutive and end at total - 1.
+  constexpr std::size_t kDepth = 5;
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 200; // 800 ids: four chunks
+  constexpr int kRecords = 12;    // the rings wrap
+  constexpr int kBlocks = kWriters * kPerWriter;
+  telemetry::BlockFlightRecorder fr(kDepth);
+  std::vector<std::atomic<bool>> finished(kBlocks);
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int k = 0; k < kRecords; ++k) {
+        for (int j = 0; j < kPerWriter; ++j) {
+          const int b = w + kWriters * j;
+          telemetry::BlockFlightRecorder::Transition t;
+          t.time = k;
+          t.task = static_cast<ooc::TaskId>(b);
+          t.fetch = k % 2 == 0;
+          fr.record(static_cast<ooc::BlockId>(b), t);
+          if (k + 1 == kRecords) {
+            finished[static_cast<std::size_t>(b)].store(
+                true, std::memory_order_release);
+          }
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  const auto consistent = [&](ooc::BlockId b,
+                              const std::vector<
+                                  telemetry::BlockFlightRecorder::Transition>&
+                                  h,
+                              std::uint64_t total) {
+    if (h.size() != std::min<std::uint64_t>(total, kDepth)) return false;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      const double want = static_cast<double>(total - h.size() + i);
+      if (h[i].time != want || h[i].task != b) return false;
+    }
+    return true;
+  };
+  std::vector<bool> forgotten(kBlocks, false);
+  std::mt19937 rng(7);
+  int reads = 0;
+  bool torn = false;
+  while (writers_left.load() > 0 || reads < 200) {
+    ++reads;
+    const auto b = static_cast<ooc::BlockId>(rng() % kBlocks);
+    // history() and total_recorded() are separate snapshots: the total
+    // may only grow in between.
+    const auto h = fr.history(b);
+    const std::uint64_t total = fr.total_recorded(b);
+    if (h.size() > kDepth ||
+        (!h.empty() && static_cast<double>(total) < h.back().time + 1)) {
+      torn = true;
+    }
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      if (h[i].time != h[0].time + static_cast<double>(i) || h[i].task != b) {
+        torn = true;
+      }
+    }
+    // dump_block() reads the ring and its total in one snapshot.
+    std::ostringstream os;
+    fr.dump_block(os, b);
+    unsigned long long n = 0, last = 0;
+    ASSERT_EQ(std::sscanf(os.str().c_str(),
+                          "block %*u (%llu transitions, last %llu)", &n,
+                          &last),
+              2)
+        << os.str();
+    if (last != std::min<unsigned long long>(n, kDepth)) torn = true;
+    if (reads % 50 == 0) {
+      std::ostringstream all;
+      fr.dump(all);
+      EXPECT_LE(fr.tracked_blocks(), static_cast<std::size_t>(kBlocks));
+    }
+    if (b % 3 == 0 && !forgotten[b] &&
+        finished[b].load(std::memory_order_acquire)) {
+      ASSERT_TRUE(consistent(b, fr.history(b), kRecords)) << b;
+      fr.forget(b);
+      forgotten[b] = true;
+    }
+  }
+  for (auto& th : writers) th.join();
+  EXPECT_FALSE(torn);
+  std::size_t survivors = 0;
+  for (int i = 0; i < kBlocks; ++i) {
+    const auto b = static_cast<ooc::BlockId>(i);
+    if (forgotten[b]) {
+      EXPECT_TRUE(fr.history(b).empty()) << b;
+      EXPECT_EQ(fr.total_recorded(b), 0u) << b;
+      continue;
+    }
+    ++survivors;
+    EXPECT_EQ(fr.total_recorded(b), static_cast<std::uint64_t>(kRecords))
+        << b;
+    EXPECT_TRUE(consistent(b, fr.history(b), kRecords)) << b;
+  }
+  EXPECT_EQ(fr.tracked_blocks(), survivors);
 }
 
 // ------------------------------------------------------------------ hub
