@@ -107,7 +107,10 @@ void* MemoryManager::alloc_reclaiming(TierId t, std::uint64_t bytes,
   // back in its arena before blocks_mu_ is, so a failed final retry
   // means the space is really taken (fragmentation or an over-committed
   // budget), not in flight.  Clean shadows go first: dropping one costs
-  // nothing, writing a deferred block back costs a copy.
+  // nothing.  Shadows never grow the touched extent, but deferred bytes
+  // may: growing costs no copy, while writing every deferred block back
+  // costs one copy now and another when each is fetched again.  A
+  // deferred block's bytes are resident in one tier or the other anyway.
   TierState& ts = *arenas_[t];
   const auto attempt = [&](bool may_grow) {
     std::lock_guard lock(ts.mu);
@@ -116,6 +119,7 @@ void* MemoryManager::alloc_reclaiming(TierId t, std::uint64_t bytes,
   if (void* p = attempt(false)) return p;
   reclaim_shadows(t);
   if (void* p = attempt(false)) return p;
+  if (void* p = attempt(true)) return p;
   write_back_deferred(t);
   return attempt(true);
 }
@@ -256,6 +260,7 @@ std::size_t MemoryManager::try_swap_batch(std::span<SwapRequest> reqs) {
   std::lock_guard lock(blocks_mu_);
   for (SwapRequest& q : reqs) {
     q.ok = swap_locked(q.block, q.dst, q.copy_contents);
+    q.bytes = blocks_[q.block].bytes;
     n += q.ok;
   }
   return n;

@@ -63,12 +63,14 @@ struct MigrateResult {
 };
 
 /// One request of MemoryManager::try_swap_batch(), with its outcome in
-/// `ok`.  Trivial, so a batch can sit in an uninitialized stack buffer.
+/// `ok` and `bytes`.  Trivial, so a batch can sit in an uninitialized
+/// stack buffer.
 struct SwapRequest {
   BlockId block;
   TierId dst;
   bool copy_contents;
-  bool ok; // out: completed without a copy
+  bool ok;             // out: completed without a copy
+  std::uint64_t bytes; // out: the block's size
 };
 
 struct TierUsage {
@@ -199,10 +201,11 @@ public:
   /// when `dst` holds the block's valid shadow (a swap), holds its
   /// deferred bytes (a fetch back), or is the write-back tier and the
   /// block may defer; otherwise nothing happens to it.  Sets each
-  /// request's `ok` and returns how many completed.  `copy_contents`
-  /// has migrate()'s meaning.  The runtime attempts each command batch
-  /// this way, on whichever thread receives it; migrate() makes the
-  /// same attempt first.
+  /// request's `ok` and `bytes` and returns how many completed, so a
+  /// caller can route the rest by size without asking for it again.
+  /// `copy_contents` has migrate()'s meaning.  The runtime attempts each
+  /// command batch this way, on whichever thread receives it; migrate()
+  /// makes the same attempt first.
   std::size_t try_swap_batch(std::span<SwapRequest> reqs);
 
   /// Coherence audit: every swap first compares the shadow with the
@@ -236,7 +239,8 @@ public:
   // fetch back; migrating it anywhere else copies from where the bytes
   // are.  The write-back itself (alloc on the logical tier, copy, free)
   // runs only when an allocation on the holding tier still finds no
-  // room after that tier's shadows are reclaimed.  Blocks of at least
+  // room after that tier's shadows are reclaimed and its touched extent
+  // has grown as far as capacity allows.  Blocks of at least
   // chunk_threshold() bytes never defer: they keep the chunked copy.
   // A write-back moves the block's storage, so block_ptr() stays valid
   // only while the caller holds the block resident.
@@ -342,7 +346,8 @@ private:
   // blocks_mu_, never the reverse), so a residence is always either
   // linked or back in its arena.
   /// alloc_storage's slow path: reclaim t's shadows and retry without
-  /// growing, then write back t's deferred blocks, then grow.
+  /// growing, then grow the touched extent up to capacity, and only
+  /// then write back t's deferred blocks.
   void* alloc_reclaiming(TierId t, std::uint64_t bytes, bool* from_pool);
   /// Free every retained shadow on tier `t`.
   void reclaim_shadows(TierId t);

@@ -576,7 +576,7 @@ void Runtime::record_migration(const ooc::Command& cmd, bool copied,
 }
 
 std::vector<ooc::Command> Runtime::ev_transfers(
-    const std::vector<ooc::Command>& done) {
+    std::span<const ooc::Command> done) {
   std::vector<ooc::Command> cmds;
   auto elk = lock_engine();
   for (const auto& c : done) {
@@ -588,7 +588,12 @@ std::vector<ooc::Command> Runtime::ev_transfers(
   return cmds;
 }
 
-void Runtime::perform_transfers(const std::vector<ooc::Command>& cmds,
+bool Runtime::copies_inline(std::uint64_t bytes) const {
+  return bytes <= cfg_.chunk_bytes &&
+         (!mm_->chunked_copy_enabled() || bytes < mm_->chunk_threshold());
+}
+
+void Runtime::perform_transfers(std::span<const ooc::Command> cmds,
                                 int trace_lane) {
   for (const auto& cmd : cmds) do_migrate(cmd, trace_lane);
   process(ev_transfers(cmds), trace_lane);
@@ -631,7 +636,7 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
     for (const auto& c : cmds) {
       if (c.kind != ooc::Command::Kind::Run &&
           c.agent != ooc::kWorkerInline) {
-        reqs[k++] = {c.block, c.dst_tier, !c.nocopy, false};
+        reqs[k++] = {c.block, c.dst_tier, !c.nocopy, false, 0};
       }
     }
     if (transfers > 0) ops_add(transfers);
@@ -680,13 +685,20 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
         case ooc::Command::Kind::Evict: {
           if (c.agent == ooc::kWorkerInline) {
             // Synchronous pre/post-processing on the current thread.
-            perform_transfers({c}, context_lane);
+            perform_transfers(std::span(&c, 1), context_lane);
             break;
           }
-          if (reqs[next_req++].ok) {
+          const mem::SwapRequest& q = reqs[next_req++];
+          if (q.ok) {
             const double ts = t0 + dt * static_cast<double>(swapped.size());
             record_migration(c, /*copied=*/false, ts, ts + dt, context_lane);
             swapped.push_back(c);
+            break;
+          }
+          if (copies_inline(q.bytes)) {
+            // A one-chunk copy costs less than the two thread wake-ups
+            // of the IO round trip: run it here, as SyncNoIo would.
+            perform_transfers(std::span(&c, 1), context_lane);
             break;
           }
           HMR_CHECK(!io_.empty());

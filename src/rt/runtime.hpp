@@ -47,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -125,6 +126,10 @@ public:
     /// with nothing to run can assist on one large transfer (a PE
     /// takes one chunk at a time, so a task that becomes ready waits
     /// for at most one chunk copy).  0 disables chunking.
+    /// `chunk_bytes` also bounds the copies a PE makes itself: a
+    /// migration of at most one chunk that is below the threshold (and
+    /// has no copy-free path) is copied by the thread that handles its
+    /// command, without a round trip through an IO thread.
     std::uint64_t chunk_threshold = 1ull << 20;
     std::uint64_t chunk_bytes = 256ull << 10;
     /// Collect scheduler lock-contention counters (bench/rt_contention
@@ -395,8 +400,12 @@ private:
   void intercept_batch(int pe, std::vector<Msg>& msgs);
   /// Execute migrations (step 1-3), deliver their completion events
   /// and retire them.
-  void perform_transfers(const std::vector<ooc::Command>& cmds,
+  void perform_transfers(std::span<const ooc::Command> cmds,
                          int trace_lane);
+  /// A migration of `bytes` that found no copy-free path is copied by
+  /// the thread that holds its command: it fits in one ChunkRing chunk
+  /// (`chunk_bytes`) and is below the chunking threshold.
+  bool copies_inline(std::uint64_t bytes) const;
   /// Execute one migration (step 1-3) and record it.
   void do_migrate(const ooc::Command& cmd, int trace_lane);
   /// Hub record (trace interval, latency histogram, flight record) and
@@ -406,7 +415,8 @@ private:
   /// Dispatch engine commands.  The batch's IO-bound Fetch/Evict
   /// commands first try the copy-free path together, under one hold of
   /// the MemoryManager's block lock (try_swap_batch); those that swap
-  /// complete right here, and only real copies go to the IO threads.
+  /// complete right here, and so do one-chunk copies (copies_inline).
+  /// Only larger copies go to the IO threads.
   void process(std::vector<ooc::Command> cmds, int context_lane);
   /// Hold the engine lock for a visit to engine_: engine_mu_ (counted
   /// in lock_stats slot 0) when the innermost engine is serial_, no
@@ -417,7 +427,7 @@ private:
       const std::vector<ooc::TaskDesc>& descs);
   /// Batch of fetch/evict completion events for finished migrations.
   std::vector<ooc::Command> ev_transfers(
-      const std::vector<ooc::Command>& done);
+      std::span<const ooc::Command> done);
   void msgs_add(std::uint64_t n);
   /// `outstanding_msgs_` -= n, waking idle waiters on the final one.
   void note_done(std::uint64_t n);

@@ -22,7 +22,7 @@ MemoryManager make_two_tier(bool pool = false) {
 /// One copy-free migration attempt: a batch of one.
 bool try_swap(MemoryManager& mm, BlockId b, TierId dst,
               bool copy_contents = true) {
-  SwapRequest q{b, dst, copy_contents, false};
+  SwapRequest q{b, dst, copy_contents, false, 0};
   return mm.try_swap_batch({&q, 1}) == 1 && q.ok;
 }
 
@@ -471,7 +471,7 @@ TEST(MemoryManagerDeferred, DeferThenFetchBackMovesZeroBytes) {
   EXPECT_TRUE(mm.audit_ledger().empty());
 }
 
-TEST(MemoryManagerDeferred, WriteBackOnReclaimComesAfterShadows) {
+TEST(MemoryManagerDeferred, GrowsBeforeWritingBack) {
   auto mm = make_two_tier();
   defer_into_ddr(mm);
   // d ends up deferred in fast memory and s as a clean shadow there;
@@ -487,27 +487,109 @@ TEST(MemoryManagerDeferred, WriteBackOnReclaimComesAfterShadows) {
   ASSERT_EQ(mm.usage(1).deferred, 512 * KiB);
   ASSERT_EQ(mm.tier_arena(1).touched_extent(), 1 * MiB);
 
-  // Dropping the shadow makes room: no write-back yet.
+  // Dropping the shadow makes room: no write-back, no growth.
   const BlockId x = mm.register_block(512 * KiB, 1);
   ASSERT_NE(x, kInvalidBlock);
   EXPECT_EQ(mm.usage(1).shadow, 0u);
   EXPECT_EQ(mm.usage(1).deferred, 512 * KiB);
   EXPECT_EQ(mm.write_backs(), 0u);
+  EXPECT_EQ(mm.tier_arena(1).touched_extent(), 1 * MiB);
 
-  // No shadow left: d is written back, and y takes its space instead
-  // of growing the extent.
+  // No shadow left: y grows the extent and d stays deferred.
   const BlockId y = mm.register_block(512 * KiB, 1);
   ASSERT_NE(y, kInvalidBlock);
+  EXPECT_EQ(mm.write_backs(), 0u);
+  EXPECT_EQ(mm.usage(1).deferred, 512 * KiB);
+  EXPECT_EQ(mm.tier_arena(1).touched_extent(), 1536 * KiB);
+  EXPECT_EQ(mm.block_tier(d), 0u);
+  EXPECT_TRUE(mm.tier_arena(1).owns(mm.block_ptr(d)));
+
+  // z takes the tier to capacity by growing; only w, which finds no
+  // room even at capacity, writes d back and takes its space.
+  const BlockId z = mm.register_block(512 * KiB, 1);
+  ASSERT_NE(z, kInvalidBlock);
+  EXPECT_EQ(mm.write_backs(), 0u);
+  EXPECT_EQ(mm.tier_arena(1).touched_extent(), 2 * MiB);
+  const BlockId w = mm.register_block(512 * KiB, 1);
+  ASSERT_NE(w, kInvalidBlock);
   EXPECT_EQ(mm.write_backs(), 1u);
   EXPECT_EQ(mm.write_back_bytes(), 512 * KiB);
   EXPECT_EQ(mm.usage(1).deferred, 0u);
-  EXPECT_EQ(mm.tier_arena(1).touched_extent(), 1 * MiB);
+  EXPECT_EQ(mm.usage(1).used, 2 * MiB);
   EXPECT_EQ(mm.block_tier(d), 0u);
   EXPECT_TRUE(mm.tier_arena(0).owns(mm.block_ptr(d)));
   EXPECT_TRUE(holds(mm, d, 0xCD));
   EXPECT_TRUE(mm.audit_ledger().empty());
   // A write-back is no migration: the traffic stats do not see it.
   EXPECT_EQ(mm.migration_stats(1, 0).count, 2u);
+}
+
+TEST(MemoryManagerDeferred, MixedSizesSettleWithoutWriteBacks) {
+  // The shape of perfbench's tenant_mix on a bare MemoryManager.  Each
+  // round, two "PEs" each fetch a clean 1 MiB input and a 1 MiB output,
+  // and while those are held run eight short tasks on 16 KiB latency
+  // blocks (fetch, write, evict).  The latency blocks defer; 1 MiB
+  // blocks never do (chunk threshold).  Writing back every deferred
+  // block whenever a 1 MiB allocation missed the touched extent made a
+  // cycle: the written-back latency blocks came back by copy, first fit
+  // from the bottom, and split the hole the next round's 1 MiB block
+  // needed, so the extent never grew and every round wrote back again.
+  constexpr int kPes = 2;
+  constexpr int kLatPerPe = 8;
+  constexpr std::size_t kLat = 64;
+  constexpr std::size_t kBatch = 8;
+  MemoryManager mm({{"DDR4", 48 * MiB}, {"MCDRAM", 16 * MiB}});
+  defer_into_ddr(mm);
+  mm.set_chunked_copy(/*threshold=*/1 * MiB, /*chunk=*/256 * KiB);
+  std::vector<BlockId> lat, in, out;
+  for (std::size_t i = 0; i < kLat; ++i) {
+    lat.push_back(mm.register_block(16 * KiB, 0));
+    fill(mm, lat.back(), 0);
+  }
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    in.push_back(mm.register_block(1 * MiB, 0));
+    fill(mm, in.back(), static_cast<unsigned char>(1 + i));
+    out.push_back(mm.register_block(1 * MiB, 0));
+    fill(mm, out.back(), 0);
+  }
+  std::vector<unsigned char> lat_val(kLat, 0), out_val(kBatch, 0);
+  constexpr int kRounds = 50;
+  constexpr int kSettle = 5;
+  std::uint64_t settled = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    if (r == kSettle) settled = mm.write_backs();
+    std::vector<BlockId> held;
+    for (int pe = 0; pe < kPes; ++pe) {
+      const std::size_t bi = static_cast<std::size_t>(2 * r + pe) % kBatch;
+      const std::size_t bo = (bi + static_cast<std::size_t>(r)) % kBatch;
+      ASSERT_TRUE(mm.migrate(in[bi], 1).ok) << "round " << r;
+      ASSERT_TRUE(mm.migrate(out[bo], 1).ok) << "round " << r;
+      out_val[bo] = static_cast<unsigned char>(out_val[bo] + 1 + bi);
+      fill(mm, out[bo], out_val[bo]);
+      held.insert(held.end(), {in[bi], out[bo]});
+      for (int t = 0; t < kLatPerPe; ++t) {
+        const std::size_t li =
+            static_cast<std::size_t>(pe) * (kLat / kPes) +
+            static_cast<std::size_t>(r * kLatPerPe + t) % (kLat / kPes);
+        ASSERT_TRUE(mm.migrate(lat[li], 1).ok) << "round " << r;
+        lat_val[li] = static_cast<unsigned char>(lat_val[li] + 1);
+        fill(mm, lat[li], lat_val[li]);
+        ASSERT_TRUE(mm.migrate(lat[li], 0).ok) << "round " << r;
+      }
+    }
+    for (const BlockId b : held) ASSERT_TRUE(mm.migrate(b, 0).ok);
+    ASSERT_TRUE(mm.audit_ledger().empty()) << "round " << r;
+  }
+  EXPECT_EQ(mm.write_backs(), settled) << "write-backs after round "
+                                       << kSettle;
+  EXPECT_GT(mm.deferrals(), 0u);
+  for (std::size_t i = 0; i < kLat; ++i) {
+    EXPECT_TRUE(holds(mm, lat[i], lat_val[i])) << "latency block " << i;
+  }
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    EXPECT_TRUE(holds(mm, in[i], static_cast<unsigned char>(1 + i)));
+    EXPECT_TRUE(holds(mm, out[i], out_val[i])) << "output block " << i;
+  }
 }
 
 TEST(MemoryManagerDeferred, UnregisterFreesTheDeferredBuffer) {
@@ -649,13 +731,13 @@ TEST(MemoryManagerZeroCopy, BatchSwapMatchesOneByOne) {
     mm.mark_dirty(ids[kDefer]);
     // Shadow on tier 1.
     EXPECT_TRUE(mm.migrate(ids[kSwapUp], 0).zero_copy);
-    reqs = {{ids[kSwapDown], 0, true, false},
-            {ids[kFetchBack], 1, true, false},
-            {ids[kDefer], 0, true, false},
-            {ids[kNoCopy], 0, false, false},
-            {ids[kMiss], 1, true, false}, // no shadow, not write-back
-            {ids[kHere], 1, true, false},
-            {ids[kSwapUp], 1, true, false}};
+    reqs = {{ids[kSwapDown], 0, true, false, 0},
+            {ids[kFetchBack], 1, true, false, 0},
+            {ids[kDefer], 0, true, false, 0},
+            {ids[kNoCopy], 0, false, false, 0},
+            {ids[kMiss], 1, true, false, 0}, // no shadow, not write-back
+            {ids[kHere], 1, true, false, 0},
+            {ids[kSwapUp], 1, true, false, 0}};
     return anchors;
   };
   const auto residence = [](MemoryManager& mm,
@@ -751,7 +833,7 @@ TEST(MemoryManagerConcurrency, BatchSwapsOfDistinctBlocks) {
         for (int j = 0; j < kPerThread; ++j) {
           reqs.push_back({ids[static_cast<std::size_t>(t * kPerThread + j)],
                           static_cast<TierId>(r % 2 == 0 ? 0 : 1), true,
-                          false});
+                          false, 0});
         }
         const std::size_t n = mm.try_swap_batch(reqs);
         misses.fetch_add(kPerThread - static_cast<int>(n));

@@ -662,6 +662,109 @@ TEST(Runtime, SwapBatchLargerThanItsStackBufferCompletes) {
   }
 }
 
+/// The inline-copy rule under one configuration.  PE 1 runs a task on
+/// a fresh 64 KiB block and PE 0 one on a fresh 2 MiB block; both first
+/// fetches are real copies (a fresh block has no shadow).  The 64 KiB
+/// copy fits in one ChunkRing chunk, so the PE that handled its command
+/// copies it: its fetch interval is on that PE's trace lane.  The 2 MiB
+/// copy is chunked on an IO thread.  Evictions swap or defer either way.
+void expect_one_chunk_copies_inline(Runtime::Config cfg,
+                                    std::uint32_t tenant = 0) {
+  cfg.num_pes = 2;
+  cfg.trace = true;
+  cfg.audit = 1;
+  Runtime rt(cfg);
+  const auto fast = cfg.model.fast;
+  const auto slow = cfg.model.slow;
+  constexpr std::uint64_t kSmall = 64 * KiB;
+  constexpr std::uint64_t kLarge = 2 * MiB;
+  ASSERT_LE(kSmall, cfg.chunk_bytes);
+  ASSERT_GE(kLarge, cfg.chunk_threshold);
+  IoHandle<std::uint64_t> small(rt, kSmall / sizeof(std::uint64_t));
+  IoHandle<std::uint64_t> large(rt, kLarge / sizeof(std::uint64_t));
+  for (std::uint64_t i = 0; i < small.size(); ++i) small[i] = i * 3;
+  for (std::uint64_t i = 0; i < large.size(); ++i) large[i] = i * 5;
+  std::atomic<bool> large_intact{false};
+  const auto send = [&](int pe, ooc::Dep dep, Runtime::Body body) {
+    std::vector<Runtime::PrefetchMsg> msgs(1);
+    msgs[0].deps = {dep};
+    msgs[0].body = std::move(body);
+    msgs[0].tenant = tenant;
+    rt.send_prefetch_batch(pe, std::move(msgs));
+  };
+  send(1, small.dep(ooc::AccessMode::ReadWrite), [&small] {
+    for (auto& w : small.span()) w += 1;
+  });
+  send(0, large.dep(ooc::AccessMode::ReadOnly), [&large, &large_intact] {
+    bool ok = true;
+    for (std::uint64_t i = 0; i < large.size(); ++i) {
+      ok = ok && large[i] == i * 5;
+    }
+    large_intact = ok;
+  });
+  rt.wait_idle();
+
+  for (std::uint64_t i = 0; i < small.size(); ++i) {
+    ASSERT_EQ(small[i], i * 3 + 1) << "word " << i;
+  }
+  EXPECT_TRUE(large_intact.load());
+  int small_fetches = 0, large_fetches = 0;
+  for (const auto& iv : rt.tracer().intervals()) {
+    if (iv.cat != trace::Category::Prefetch) continue;
+    if (iv.bytes == kSmall) {
+      ++small_fetches;
+      EXPECT_EQ(iv.lane, 1) << "a one-chunk copy on the handling PE";
+    } else if (iv.bytes == kLarge) {
+      ++large_fetches;
+      EXPECT_GE(iv.lane, cfg.num_pes) << "a chunked copy on an IO lane";
+    }
+  }
+  EXPECT_EQ(small_fetches, 1);
+  EXPECT_EQ(large_fetches, 1);
+  const mem::ChunkRing& ring = rt.memory().chunk_ring();
+  EXPECT_EQ(ring.jobs(), 1u);
+  EXPECT_EQ(ring.chunks_copied(), kLarge / cfg.chunk_bytes);
+  // The same logical traffic as with every copy on an IO thread: one
+  // fetch and one (copy-free) eviction each.
+  const mem::MigrationStats up = rt.memory().migration_stats(slow, fast);
+  const mem::MigrationStats down = rt.memory().migration_stats(fast, slow);
+  EXPECT_EQ(up.count, 2u);
+  EXPECT_EQ(up.bytes, kSmall + kLarge);
+  EXPECT_EQ(down.count, 2u);
+  EXPECT_EQ(down.bytes, kSmall + kLarge);
+  EXPECT_EQ(rt.memory().zero_copy_admissions(), 2u);
+  EXPECT_EQ(rt.memory().audit_ledger(), std::vector<std::string>{});
+  EXPECT_EQ(rt.audit_now().violations, std::vector<std::string>{});
+}
+
+TEST(Runtime, SmallMigrationsCompleteOnTheCommandThread) {
+  {
+    SCOPED_TRACE("MultiIo");
+    expect_one_chunk_copies_inline(small_config(ooc::Strategy::MultiIo));
+  }
+  {
+    SCOPED_TRACE("SingleIo");
+    expect_one_chunk_copies_inline(small_config(ooc::Strategy::SingleIo));
+  }
+  {
+    // An inline copy skips the tenancy layer's QoS ordering of the IO
+    // queues: it completes before the next command is handled.
+    SCOPED_TRACE("tenancy");
+    auto cfg = small_config(ooc::Strategy::MultiIo);
+    serve::TenantDesc lat;
+    lat.id = 0;
+    lat.name = "lat";
+    lat.qos = serve::QosClass::LatencySLO;
+    lat.tier_reserve = {0.5};
+    serve::TenantDesc batch;
+    batch.id = 1;
+    batch.name = "batch";
+    batch.qos = serve::QosClass::Batch;
+    cfg.serve.tenants = {lat, batch};
+    expect_one_chunk_copies_inline(cfg, /*tenant=*/1);
+  }
+}
+
 TEST(RuntimeDeathTest, WriteUnderReadOnlyDependencyFailsCoherenceAudit) {
   // The one contract shadows add: writes go through declared
   // ReadWrite/WriteOnly dependencies.  This body writes under a
