@@ -115,7 +115,6 @@ public:
   /// Governor hook: bypass only fires while the fetch channel is
   /// reported saturated (see header comment).
   void set_streaming_bypass(bool on) { streaming_bypass_ = on; }
-  bool streaming_bypass() const { return streaming_bypass_; }
 
   /// Accesses per phase a block of `bytes` must sustain before
   /// migrating it beats reading it from the slow tier, under a loaded

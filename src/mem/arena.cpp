@@ -124,7 +124,6 @@ void* TierArena::take(std::map<std::uint64_t, std::uint64_t>::iterator it,
   used_ += need;
   high_water_ = std::max(high_water_, used_);
   touched_ = std::max(touched_, at + need);
-  ++total_allocs_;
   return base_ + at;
 }
 

@@ -73,7 +73,6 @@ public:
   const std::string& name() const { return name_; }
   std::uint64_t capacity() const { return capacity_; }
   std::uint64_t used() const { return used_; }
-  std::uint64_t free_bytes() const { return capacity_ - used_; }
   std::uint64_t high_water() const { return high_water_; }
   /// Largest end offset ever handed out: the prefix of the region that
   /// live data has touched.  Never shrinks.
@@ -83,9 +82,6 @@ public:
   /// Size of the largest single allocatable range (fragmentation
   /// probe).  O(free ranges): a scan, kept off the alloc/free path.
   std::uint64_t largest_free_range() const;
-
-  /// Total allocations served over the arena's lifetime.
-  std::uint64_t total_allocs() const { return total_allocs_; }
 
   /// Backing actually in effect ("new[]" or "mmap"); Mmap requests fall
   /// back to "new[]" when mmap is unavailable or fails.
@@ -118,7 +114,6 @@ private:
   std::uint64_t used_ = 0;
   std::uint64_t high_water_ = 0;
   std::uint64_t touched_ = 0;
-  std::uint64_t total_allocs_ = 0;
 };
 
 } // namespace hmr::mem

@@ -194,7 +194,6 @@ public:
   /// Enable/disable shadow retention.  Configure before traffic;
   /// disabling does not free already-retained shadows.
   void set_zero_copy(bool on) { zero_copy_ = on; }
-  bool zero_copy_enabled() const { return zero_copy_; }
 
   /// Copy-free migrations, in request order under one hold of the
   /// block lock.  A request completes without an alloc, copy or free
@@ -272,7 +271,6 @@ public:
   /// Migration traffic observed from tier `src` to tier `dst`.
   MigrationStats migration_stats(TierId src, TierId dst) const;
 
-  bool pool_enabled() const { return pool_enabled_; }
   /// Buffer-pool hit/miss counters for tier `t`.
   PoolStats pool_stats(TierId t) const;
   /// Drop all pooled buffers back to the arenas (frees their capacity).

@@ -780,11 +780,6 @@ std::vector<Command> PolicyEngine::set_lru_watermark(double frac) {
   return cmds;
 }
 
-std::size_t PolicyEngine::waiting_tasks(std::int32_t pe) const {
-  HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
-  return wait_q_[static_cast<std::size_t>(pe)].size();
-}
-
 std::size_t PolicyEngine::total_waiting() const { return n_waiting_; }
 
 BlockState PolicyEngine::block_state(BlockId b) const {

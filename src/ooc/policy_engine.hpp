@@ -218,7 +218,6 @@ public:
   std::uint64_t tier_used(std::int32_t level) const override {
     return used_[static_cast<std::size_t>(level)];
   }
-  std::size_t waiting_tasks(std::int32_t pe) const;
   std::size_t total_waiting() const override;
   std::size_t live_tasks() const { return n_live_tasks_; }
   std::size_t inflight_fetches() const { return n_inflight_fetch_; }

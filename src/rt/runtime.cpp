@@ -257,65 +257,36 @@ void Runtime::free_block(mem::BlockId b) {
   }
 }
 
-void Runtime::send(int pe, Body body) {
+void Runtime::deliver(int pe, std::span<Msg> msgs) {
   HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
-  msgs_add(1);
+  if (msgs.empty()) return;
+  work_add(msgs.size());
   PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
   std::lock_guard lk(w.mu);
+  for (auto& m : msgs) w.msgs.push_back(std::move(m));
+  w.cv.notify_one();
+}
+
+void Runtime::send(int pe, Body body) {
   Msg m;
   m.body = std::move(body);
-  m.prefetch = false;
-  w.msgs.push_back(std::move(m));
-  w.cv.notify_one();
+  deliver(pe, std::span(&m, 1));
 }
 
 void Runtime::send_prefetch(int pe, DepList deps, Body body,
                             double work_factor, std::uint32_t tenant) {
-  HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
-  msgs_add(1);
-  PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
-  std::lock_guard lk(w.mu);
-  Msg m;
-  m.body = std::move(body);
-  m.deps = std::move(deps);
-  m.work_factor = work_factor;
-  m.prefetch = true;
-  m.tenant = tenant;
-  w.msgs.push_back(std::move(m));
-  w.cv.notify_one();
-}
-
-void Runtime::send_batch(int pe, std::vector<Body> bodies) {
-  HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
-  if (bodies.empty()) return;
-  msgs_add(bodies.size());
-  PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
-  std::lock_guard lk(w.mu);
-  for (auto& body : bodies) {
-    Msg m;
-    m.body = std::move(body);
-    m.prefetch = false;
-    w.msgs.push_back(std::move(m));
-  }
-  w.cv.notify_one();
+  Msg m{std::move(body), std::move(deps), work_factor, true, tenant};
+  deliver(pe, std::span(&m, 1));
 }
 
 void Runtime::send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs) {
-  HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
-  if (msgs.empty()) return;
-  msgs_add(msgs.size());
-  PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
-  std::lock_guard lk(w.mu);
+  std::vector<Msg> ms;
+  ms.reserve(msgs.size());
   for (auto& pm : msgs) {
-    Msg m;
-    m.body = std::move(pm.body);
-    m.deps = std::move(pm.deps);
-    m.work_factor = pm.work_factor;
-    m.prefetch = true;
-    m.tenant = pm.tenant;
-    w.msgs.push_back(std::move(m));
+    ms.push_back(Msg{std::move(pm.body), std::move(pm.deps), pm.work_factor,
+                     true, pm.tenant});
   }
-  w.cv.notify_one();
+  deliver(pe, ms);
 }
 
 void Runtime::pe_loop(int pe) {
@@ -425,7 +396,7 @@ void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
       const double ts = now();
       msg.body();
       tracer_.record(pe, trace::Category::Compute, ts, now());
-      note_done(1);
+      work_done(1);
       continue;
     }
     // Pre-processing step of a [prefetch] entry method: wrap it as an
@@ -500,7 +471,7 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
       observe_locked(cmds);
     }
     process(std::move(cmds), pe);
-    note_done(1);
+    work_done(1);
   }
 }
 
@@ -597,12 +568,11 @@ void Runtime::perform_transfers(std::span<const ooc::Command> cmds,
                                 int trace_lane) {
   for (const auto& cmd : cmds) do_migrate(cmd, trace_lane);
   process(ev_transfers(cmds), trace_lane);
-  ops_sub(cmds.size());
+  work_done(cmds.size());
 }
 
 void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
-  // Swaps completed here feed their completion events back into the
-  // loop.  Their ops stay counted until the whole cascade has been
+  // Every transfer stays counted until the whole cascade has been
   // dispatched, so wait_idle() cannot observe quiescence mid-way.
   const bool timed = tracer_.enabled() || metrics_ != nullptr;
   const bool stamped = timed || hub_.flight_recorder() != nullptr;
@@ -611,43 +581,37 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
   // cg_fine's peak RSS by about 1% (glibc's per-thread arenas).
   std::array<mem::SwapRequest, kIoBatch * 4> local_reqs;
   std::vector<mem::SwapRequest> spilled_reqs;
-  std::vector<ooc::Command> swapped;
-  std::uint64_t swaps = 0;
+  std::vector<ooc::Command> done;
+  std::uint64_t completed = 0;
   while (!cmds.empty()) {
-    // Every transfer of the batch is counted before its first swap, and
-    // all IO-bound ones try the copy-free path under one hold of the
-    // MemoryManager's block lock.  Worker-inline transfers keep their
-    // synchronous order: each completes before the next command.
-    std::uint64_t transfers = 0, fetches = 0, io_bound = 0;
+    std::uint64_t transfers = 0, fetches = 0;
     for (const auto& c : cmds) {
       if (c.kind == ooc::Command::Kind::Run) continue;
       ++transfers;
       fetches += c.kind == ooc::Command::Kind::Fetch;
-      io_bound += c.agent != ooc::kWorkerInline;
     }
     std::span<mem::SwapRequest> reqs;
-    if (io_bound <= local_reqs.size()) {
-      reqs = {local_reqs.data(), io_bound};
+    if (transfers <= local_reqs.size()) {
+      reqs = {local_reqs.data(), transfers};
     } else {
-      spilled_reqs.resize(io_bound);
+      spilled_reqs.resize(transfers);
       reqs = spilled_reqs;
     }
     std::size_t k = 0;
     for (const auto& c : cmds) {
-      if (c.kind != ooc::Command::Kind::Run &&
-          c.agent != ooc::kWorkerInline) {
+      if (c.kind != ooc::Command::Kind::Run) {
         reqs[k++] = {c.block, c.dst_tier, !c.nocopy, false, 0};
       }
     }
-    if (transfers > 0) ops_add(transfers);
+    if (transfers > 0) work_add(transfers);
     if (cfg_.watchdog && fetches > 0) {
       fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
       fetch_dispatched_.fetch_add(fetches, std::memory_order_relaxed);
     }
-    // One clock read on each side of the batch: the swaps split its
-    // span between their trace intervals and latency samples, and the
-    // flight recorder stamps each with its interval's end.  No clock is
-    // read when nothing consumes it.
+    // One clock read on each side of the swap attempt: the swaps split
+    // that span between their trace intervals and latency samples, and
+    // the flight recorder stamps each with its interval's end.  No clock
+    // is read when nothing consumes it.
     double t0 = 0, t1 = 0, dt = 0;
     std::size_t n_swapped = 0;
     if (!reqs.empty()) {
@@ -659,68 +623,56 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
         dt = (t1 - t0) / static_cast<double>(n_swapped);
       }
     }
-    std::size_t next_req = 0;
+    std::size_t next_req = 0, swaps = 0;
     for (auto& c : cmds) {
-      switch (c.kind) {
-        case ooc::Command::Kind::Run: {
-          ReadyTask task;
-          {
-            PendingShard& ps = pending_[static_cast<std::size_t>(c.pe)];
-            std::lock_guard lk(ps.mu);
-            auto it = ps.map.find(c.task);
-            HMR_CHECK_MSG(it != ps.map.end(), "run of unknown task");
-            task = std::move(it->second);
-            ps.map.erase(it);
-          }
-          // Deps are resident from here; start - t_ready is pure run
-          // queue wait, t_ready - t_arrive is the fetch wait.
-          if (hub_.attribution()) task.t_ready = now();
-          PeWorker& w = *pes_[static_cast<std::size_t>(c.pe)];
-          std::lock_guard lk(w.mu);
-          w.run_q.push_back(std::move(task));
-          w.cv.notify_one();
-          break;
+      if (c.kind == ooc::Command::Kind::Run) {
+        ReadyTask task;
+        {
+          PendingShard& ps = pending_[static_cast<std::size_t>(c.pe)];
+          std::lock_guard lk(ps.mu);
+          auto it = ps.map.find(c.task);
+          HMR_CHECK_MSG(it != ps.map.end(), "run of unknown task");
+          task = std::move(it->second);
+          ps.map.erase(it);
         }
-        case ooc::Command::Kind::Fetch:
-        case ooc::Command::Kind::Evict: {
-          if (c.agent == ooc::kWorkerInline) {
-            // Synchronous pre/post-processing on the current thread.
-            perform_transfers(std::span(&c, 1), context_lane);
-            break;
-          }
-          const mem::SwapRequest& q = reqs[next_req++];
-          if (q.ok) {
-            const double ts = t0 + dt * static_cast<double>(swapped.size());
-            record_migration(c, /*copied=*/false, ts, ts + dt, context_lane);
-            swapped.push_back(c);
-            break;
-          }
-          if (copies_inline(q.bytes)) {
-            // A one-chunk copy costs less than the two thread wake-ups
-            // of the IO round trip: run it here, as SyncNoIo would.
-            perform_transfers(std::span(&c, 1), context_lane);
-            break;
-          }
-          HMR_CHECK(!io_.empty());
-          IoWorker& w =
-              *io_[static_cast<std::size_t>(c.agent) % io_.size()];
-          std::lock_guard lk(w.mu);
-          if (tenancy_) {
-            tenancy_->enqueue(w.cmds, c);
-          } else {
-            w.cmds.push_back(c);
-          }
-          w.cv.notify_one();
-          break;
+        // Deps are resident from here; start - t_ready is pure run
+        // queue wait, t_ready - t_arrive is the fetch wait.
+        if (hub_.attribution()) task.t_ready = now();
+        PeWorker& w = *pes_[static_cast<std::size_t>(c.pe)];
+        std::lock_guard lk(w.mu);
+        w.run_q.push_back(std::move(task));
+        w.cv.notify_one();
+        continue;
+      }
+      const mem::SwapRequest& q = reqs[next_req++];
+      if (q.ok) {
+        const double ts = t0 + dt * static_cast<double>(swaps++);
+        record_migration(c, /*copied=*/false, ts, ts + dt, context_lane);
+        done.push_back(c);
+      } else if (c.agent == ooc::kWorkerInline || copies_inline(q.bytes)) {
+        // Synchronous pre/post-processing on the current thread, or a
+        // one-chunk copy, which costs less than the two thread wake-ups
+        // of the IO round trip.
+        do_migrate(c, context_lane);
+        done.push_back(c);
+      } else {
+        HMR_CHECK(!io_.empty());
+        IoWorker& w = *io_[static_cast<std::size_t>(c.agent) % io_.size()];
+        std::lock_guard lk(w.mu);
+        if (tenancy_) {
+          tenancy_->enqueue(w.cmds, c);
+        } else {
+          w.cmds.push_back(c);
         }
+        w.cv.notify_one();
       }
     }
-    if (swapped.empty()) break;
-    swaps += swapped.size();
-    cmds = ev_transfers(swapped);
-    swapped.clear();
+    if (done.empty()) break;
+    completed += done.size();
+    cmds = ev_transfers(done);
+    done.clear();
   }
-  if (swaps > 0) ops_sub(swaps);
+  if (completed > 0) work_done(completed);
 }
 
 void Runtime::observe_locked(const std::vector<ooc::Command>& cmds) {
@@ -747,52 +699,26 @@ void Runtime::governor_phase_end() {
   }
   phase_start_ = t_now;
   if (cmds.empty()) return;
-  // Any LRU-flush evictions count as outstanding ops; push them and
+  // Any LRU-flush evictions count as outstanding work; push them and
   // wait for the node to settle again before the next phase starts.
   process(std::move(cmds), /*context_lane=*/0);
-  std::unique_lock lk(idle_mu_);
-  idle_cv_.wait(lk, [&] {
-    if (outstanding_msgs_.load(std::memory_order_acquire) != 0 ||
-        outstanding_ops_.load(std::memory_order_acquire) != 0) {
-      return false;
-    }
-    return engine_quiescent();
-  });
+  wait_quiescent();
 }
 
-void Runtime::msgs_add(std::uint64_t n) {
-  outstanding_msgs_.fetch_add(n, std::memory_order_acq_rel);
+void Runtime::work_add(std::uint64_t n) {
+  outstanding_.v.fetch_add(n, std::memory_order_acq_rel);
 }
 
-void Runtime::note_done(std::uint64_t n) {
-  if (n == 0) return;
+void Runtime::work_done(std::uint64_t n) {
   retired_.fetch_add(n, std::memory_order_relaxed);
-  // Wake idle waiters only on the transition to zero: the hot path
-  // never touches idle_mu_.  Taking the mutex before notifying closes
-  // the race with a waiter that just evaluated its predicate.
-  if (outstanding_msgs_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+  // Wake idle waiters only on the transition to zero, which is a real
+  // quiescence point: the hot path never touches idle_mu_.  Taking the
+  // mutex before notifying closes the race with a waiter that just
+  // evaluated its predicate.
+  if (outstanding_.v.fetch_sub(n, std::memory_order_acq_rel) == n) {
     std::lock_guard lk(idle_mu_);
     idle_cv_.notify_all();
   }
-}
-
-void Runtime::ops_add(std::uint64_t n) {
-  outstanding_ops_.fetch_add(n, std::memory_order_acq_rel);
-}
-
-void Runtime::ops_sub(std::uint64_t n) {
-  retired_.fetch_add(n, std::memory_order_relaxed);
-  if (outstanding_ops_.fetch_sub(n, std::memory_order_acq_rel) == n) {
-    std::lock_guard lk(idle_mu_);
-    idle_cv_.notify_all();
-  }
-}
-
-bool Runtime::engine_quiescent() {
-  // Under tenancy, deferred submissions parked in the decorator count
-  // as pending work; its quiescent() folds them in.
-  auto elk = lock_engine();
-  return engine_->quiescent();
 }
 
 void Runtime::poke_for_assist() {
@@ -806,17 +732,19 @@ void Runtime::poke_for_assist() {
   }
 }
 
+void Runtime::wait_quiescent() {
+  std::unique_lock lk(idle_mu_);
+  idle_cv_.wait(lk, [&] {
+    if (outstanding_.v.load(std::memory_order_acquire) != 0) return false;
+    // Under tenancy, deferred submissions parked in the decorator count
+    // as pending work; its quiescent() folds them in.
+    auto elk = lock_engine();
+    return engine_->quiescent();
+  });
+}
+
 void Runtime::wait_idle() {
-  {
-    std::unique_lock lk(idle_mu_);
-    idle_cv_.wait(lk, [&] {
-      if (outstanding_msgs_.load(std::memory_order_acquire) != 0 ||
-          outstanding_ops_.load(std::memory_order_acquire) != 0) {
-        return false;
-      }
-      return engine_quiescent();
-    });
-  }
+  wait_quiescent();
   // Each wait_idle barrier is a phase boundary for the governor.
   if (guidance_) governor_phase_end();
   // ...and a history tick: the hub refreshes the bridged counters
@@ -946,10 +874,8 @@ std::string Runtime::status_json() {
      << ",\"sharded\":" << (sharded_ ? "true" : "false")
      << ",\"engine_shards\":" << engine_shards()
      << ",\"num_pes\":" << cfg_.num_pes
-     << ",\"num_io_threads\":" << io_.size() << ",\"outstanding_msgs\":"
-     << outstanding_msgs_.load(std::memory_order_acquire)
-     << ",\"outstanding_ops\":"
-     << outstanding_ops_.load(std::memory_order_acquire)
+     << ",\"num_io_threads\":" << io_.size() << ",\"outstanding\":"
+     << outstanding_.v.load(std::memory_order_acquire)
      << ",\"tasks_executed\":" << tasks_executed()
      << ",\"retired\":" << retired_.load(std::memory_order_relaxed);
 
@@ -1100,8 +1026,7 @@ void Runtime::start_introspection() {
   if (cfg_.watchdog) {
     telemetry::Watchdog::Hooks h;
     h.under_load = [this] {
-      return outstanding_msgs_.load(std::memory_order_acquire) != 0 ||
-             outstanding_ops_.load(std::memory_order_acquire) != 0;
+      return outstanding_.v.load(std::memory_order_acquire) != 0;
     };
     h.progress = [this] {
       // Retirements plus engine events: admissions count as progress

@@ -261,17 +261,14 @@ public:
   void send_prefetch(int pe, DepList deps, Body body,
                      double work_factor = 1.0, std::uint32_t tenant = 0);
 
-  /// Batched enqueue: one idle-counter update, one queue lock and one
-  /// wakeup for the whole vector (senders that fan out thousands of
-  /// fine-grained messages otherwise pay that per message).
-  void send_batch(int pe, std::vector<Body> bodies);
-
   struct PrefetchMsg {
     DepList deps;
     Body body;
     double work_factor = 1.0;
     std::uint32_t tenant = 0;
   };
+  /// Batched send_prefetch: one outstanding-work update, one queue lock
+  /// and one wakeup for the whole vector.
   void send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs);
 
   /// Block until every delivered message has executed and all
@@ -396,10 +393,13 @@ private:
 
   void pe_loop(int pe);
   void io_loop(int io);
+  /// The one delivery path of every send: one work_add, one queue lock
+  /// and one wakeup for the messages.
+  void deliver(int pe, std::span<Msg> msgs);
   void run_ready_batch(int pe, std::vector<ReadyTask>& tasks);
   void intercept_batch(int pe, std::vector<Msg>& msgs);
-  /// Execute migrations (step 1-3), deliver their completion events
-  /// and retire them.
+  /// IO loop: execute a batch of queued migrations (step 1-3), hand
+  /// their completions to the engine in one visit and retire them.
   void perform_transfers(std::span<const ooc::Command> cmds,
                          int trace_lane);
   /// A migration of `bytes` that found no copy-free path is copied by
@@ -412,11 +412,13 @@ private:
   /// fetch bookkeeping of one finished migration.
   void record_migration(const ooc::Command& cmd, bool copied, double ts,
                         double te, int trace_lane);
-  /// Dispatch engine commands.  The batch's IO-bound Fetch/Evict
-  /// commands first try the copy-free path together, under one hold of
-  /// the MemoryManager's block lock (try_swap_batch); those that swap
-  /// complete right here, and so do one-chunk copies (copies_inline).
-  /// Only larger copies go to the IO threads.
+  /// Dispatch engine commands.  Every Fetch/Evict of a batch first
+  /// tries the copy-free path, all together under one hold of the
+  /// MemoryManager's block lock (try_swap_batch).  One that does not
+  /// swap is copied right here when it is worker-inline or fits in one
+  /// chunk (copies_inline), and goes to its IO queue otherwise.  The
+  /// batch's swaps and copies complete in one ev_transfers visit, whose
+  /// commands are dispatched the same way until none completes here.
   void process(std::vector<ooc::Command> cmds, int context_lane);
   /// Hold the engine lock for a visit to engine_: engine_mu_ (counted
   /// in lock_stats slot 0) when the innermost engine is serial_, no
@@ -428,13 +430,16 @@ private:
   /// Batch of fetch/evict completion events for finished migrations.
   std::vector<ooc::Command> ev_transfers(
       std::span<const ooc::Command> done);
-  void msgs_add(std::uint64_t n);
-  /// `outstanding_msgs_` -= n, waking idle waiters on the final one.
-  void note_done(std::uint64_t n);
-  void ops_add(std::uint64_t n);
-  /// `outstanding_ops_` -= n, waking idle waiters on the final one.
-  void ops_sub(std::uint64_t n);
-  bool engine_quiescent();
+  /// `outstanding_` += n: messages at their send, transfers at their
+  /// dispatch.
+  void work_add(std::uint64_t n);
+  /// `outstanding_` -= n, waking idle waiters on the final one: a
+  /// message once its task's post-processing has been dispatched, a
+  /// transfer once its completion cascade has.
+  void work_done(std::uint64_t n);
+  /// Block until no work is outstanding and the engine is quiescent
+  /// (wait_idle and the governor's flush).
+  void wait_quiescent();
   /// Wake every IO thread and PE so idle ones can assist a chunked
   /// copy (a PE with nothing to run copies one chunk per check of its
   /// queues).
@@ -498,12 +503,12 @@ private:
   std::vector<PendingShard> pending_;
   std::atomic<ooc::TaskId> next_task_{1};
 
-  // Quiescence detection: contention-free atomic counters; the
-  // condvar is only touched on a counter's final decrement.
+  // Quiescence detection: one contention-free count of outstanding
+  // messages and transfers; the condvar is only touched on its final
+  // decrement.
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-  alignas(64) std::atomic<std::uint64_t> outstanding_msgs_{0};
-  alignas(64) std::atomic<std::uint64_t> outstanding_ops_{0};
+  PadCounter outstanding_;
 
   std::vector<PadCounter> tasks_done_; // per PE, padded
   std::atomic<bool> stop_{false};

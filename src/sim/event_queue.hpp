@@ -26,12 +26,6 @@ public:
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest pending event.
-  double next_time() const {
-    HMR_CHECK(!heap_.empty());
-    return heap_.top().t;
-  }
-
   /// Pop and return the earliest event.
   std::pair<double, Fn> pop() {
     HMR_CHECK(!heap_.empty());

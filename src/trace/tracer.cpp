@@ -288,25 +288,6 @@ std::string dropped_warning(std::uint64_t dropped) {
          "Tracer::Options::ring_capacity or drain more often.";
 }
 
-void Tracer::write_chrome_trace(std::ostream& os) const {
-  os << "[";
-  bool first = true;
-  for (const auto& iv : intervals()) {
-    if (!first) os << ",";
-    first = false;
-    char buf[256];
-    // Times in microseconds, as the trace-event format expects.
-    std::snprintf(buf, sizeof buf,
-                  "\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
-                  "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"task\":%llu}}",
-                  category_name(iv.cat), iv.lane, iv.start * 1e6,
-                  (iv.end - iv.start) * 1e6,
-                  static_cast<unsigned long long>(iv.task));
-    os << buf;
-  }
-  os << "\n]\n";
-}
-
 void Tracer::ascii_timeline(std::ostream& os, int width, double t0,
                             double t1) const {
   trace::ascii_timeline(os, intervals(), width, t0, t1);

@@ -212,10 +212,6 @@ public:
   /// dropped and ring_fallbacks trailers.  read_csv() parses it.
   void write_csv(std::ostream& os) const;
 
-  /// Chrome trace-event JSON (open in chrome://tracing or Perfetto):
-  /// one complete ("X") event per interval, lanes as tids.
-  void write_chrome_trace(std::ostream& os) const;
-
   /// trace::ascii_timeline over the recorded intervals.
   void ascii_timeline(std::ostream& os, int width, double t0,
                       double t1) const;

@@ -26,7 +26,6 @@ public:
   std::vector<Value> arr;
   std::vector<std::pair<std::string, Value>> obj;
 
-  bool is_null() const { return kind == Kind::Null; }
   bool is_object() const { return kind == Kind::Object; }
   bool is_array() const { return kind == Kind::Array; }
 

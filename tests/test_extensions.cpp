@@ -1,10 +1,8 @@
 // Tests for the future-work extensions: KNL cache-mode model,
-// node-level run queue, fair admission, Chrome trace export, and the
-// synthetic workload's task-time jitter.
+// node-level run queue, fair admission, and the synthetic workload's
+// task-time jitter.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "cluster/cluster_sim.hpp"
 #include "hw/machine_model.hpp"
@@ -13,7 +11,6 @@
 #include "sim/cluster.hpp"
 #include "sim/stencil_workload.hpp"
 #include "sim/synthetic_workload.hpp"
-#include "trace/tracer.hpp"
 #include "util/units.hpp"
 
 namespace hmr {
@@ -189,31 +186,6 @@ TEST(FairAdmission, DisabledRestoresGreed) {
     }
   }
   EXPECT_EQ(fetches, 4u); // greedy drain takes everything that fits
-}
-
-// ---------- chrome trace export ----------
-
-TEST(ChromeTrace, EmitsValidEventArray) {
-  trace::Tracer t;
-  t.record(0, trace::Category::Compute, 0.001, 0.002, 42);
-  t.record(1, trace::Category::Prefetch, 0.0, 0.0005);
-  std::ostringstream os;
-  t.write_chrome_trace(os);
-  const std::string out = os.str();
-  EXPECT_EQ(out.front(), '[');
-  EXPECT_NE(out.find("\"name\":\"compute\""), std::string::npos);
-  EXPECT_NE(out.find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(out.find("\"ts\":1000.000"), std::string::npos);
-  EXPECT_NE(out.find("\"task\":42"), std::string::npos);
-  // Exactly two complete events.
-  std::size_t events = 0;
-  for (std::size_t pos = out.find("\"ph\":\"X\""); pos != std::string::npos;
-       pos = out.find("\"ph\":\"X\"", pos + 1)) {
-    ++events;
-  }
-  EXPECT_EQ(events, 2u);
-  EXPECT_EQ(out.back(), '\n');
-  EXPECT_EQ(out[out.size() - 2], ']');
 }
 
 // ---------- hybrid mode ----------

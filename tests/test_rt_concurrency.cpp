@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -320,22 +319,6 @@ TEST(RtConcurrency, ShardedIsTheMultiIoDefault) {
   cfg.strategy = ooc::Strategy::SingleIo; // global policy: serial path
   rt::Runtime rt3(cfg);
   EXPECT_FALSE(rt3.sharded());
-}
-
-TEST(RtConcurrency, BatchedSendsExecuteInOrder) {
-  rt::Runtime::Config cfg;
-  cfg.num_pes = 1;
-  cfg.mem_scale = 1.0 / 4096;
-  rt::Runtime rt(cfg);
-  std::vector<int> order;
-  std::vector<rt::Runtime::Body> bodies;
-  for (int i = 0; i < 64; ++i) {
-    bodies.push_back([&order, i] { order.push_back(i); });
-  }
-  rt.send_batch(0, std::move(bodies));
-  rt.wait_idle();
-  ASSERT_EQ(order.size(), 64u);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
 TEST(RtConcurrency, PrefetchBatchRunsEveryTaskWithResidentData) {

@@ -765,6 +765,127 @@ TEST(Runtime, SmallMigrationsCompleteOnTheCommandThread) {
   }
 }
 
+/// One set-up of the quiescence test below.
+struct CascadeCase {
+  const char* name;
+  ooc::Strategy strategy;
+  bool evict_by_worker = false;
+  bool tenants = false;
+};
+void PrintTo(const CascadeCase& c, std::ostream* os) { *os << c.name; }
+
+class RuntimeCascades : public ::testing::TestWithParam<CascadeCase> {};
+
+TEST_P(RuntimeCascades, WaitIdleIsExactAfterInBatchCascades) {
+  // 96 blocks of 2-64 KiB (2 MiB) through 768 KiB of fast tier: tasks
+  // wait for room, and the eviction completions that make it (swaps and
+  // one-chunk copies, all completed on the thread holding the command)
+  // admit them inside the same command batch.  Odd rounds rewrite each
+  // block, even rounds read two blocks each, so swaps, deferrals and
+  // copies mix.  Every wait_idle must return at exact quiescence.
+  const CascadeCase& cc = GetParam();
+  auto cfg = small_config(cc.strategy, /*pes=*/2);
+  cfg.mem_scale = 1.0 / 16384; // 1 MiB fast / 6 MiB slow arenas
+  // The engine may claim 3/4 of the fast arena.  A budget of all of it
+  // lets first-fit fragmentation of these mixed sizes abort a migration
+  // under sanitizer timing (ROADMAP item 1).
+  cfg.tiers = {{cfg.model.fast, 768 * KiB, 1.0}, {cfg.model.slow, 0, 1.0}};
+  cfg.evict_by_worker = cc.evict_by_worker;
+  cfg.audit = 1;
+  if (cc.tenants) {
+    serve::TenantDesc lat;
+    lat.id = 0;
+    lat.name = "lat";
+    lat.qos = serve::QosClass::LatencySLO;
+    lat.tier_reserve = {0.5};
+    serve::TenantDesc batch;
+    batch.id = 1;
+    batch.name = "batch";
+    batch.qos = serve::QosClass::Batch;
+    cfg.serve.tenants = {lat, batch};
+  }
+  Runtime rt(cfg);
+  constexpr int kBlocks = 96;
+  constexpr int kRounds = 6;
+  std::vector<std::unique_ptr<IoHandle<std::uint64_t>>> hs;
+  for (int b = 0; b < kBlocks; ++b) {
+    const std::uint64_t words = (2 * KiB << (b % 6)) / sizeof(std::uint64_t);
+    hs.push_back(std::make_unique<IoHandle<std::uint64_t>>(rt, words));
+    for (std::uint64_t i = 0; i < words; ++i) (*hs.back())[i] = b * 7 + i;
+  }
+  // Block b's word i after the write rounds up to `round`.
+  const auto expected = [](int b, std::uint64_t i, int round) {
+    std::uint64_t v = b * 7 + i;
+    for (int r = 1; r <= round; r += 2) v += r + b;
+    return v;
+  };
+  // A body whose data is not in the fast tier, or not as expected.
+  std::atomic<int> stale{0};
+  const auto resident = [&rt, fast = cfg.model.fast](const auto& h) {
+    return rt.memory().block_tier(h.id()) == fast;
+  };
+  std::uint64_t sent = 0;
+  for (int round = 1; round <= kRounds; ++round) {
+    for (int b = 0; b < kBlocks; ++b) {
+      auto& h = *hs[static_cast<std::size_t>(b)];
+      const std::uint32_t tenant = cc.tenants ? b % 2 : 0;
+      if (round % 2 == 1) {
+        rt.send_prefetch(b % 2, {h.dep(ooc::AccessMode::ReadWrite)},
+                         [&, round, b] {
+                           if (!resident(h)) stale.fetch_add(1);
+                           for (auto& w : h.span()) w += round + b;
+                         },
+                         1.0, tenant);
+        continue;
+      }
+      const int b2 = (b + 1) % kBlocks;
+      auto& h2 = *hs[static_cast<std::size_t>(b2)];
+      rt.send_prefetch(
+          b % 2,
+          {h.dep(ooc::AccessMode::ReadOnly),
+           h2.dep(ooc::AccessMode::ReadOnly)},
+          [&, b, b2, round] {
+            for (const auto& [blk, bi] : {std::pair{&h, b}, {&h2, b2}}) {
+              const std::uint64_t last = blk->size() - 1;
+              if (!resident(*blk) || (*blk)[0] != expected(bi, 0, round) ||
+                  (*blk)[last] != expected(bi, last, round)) {
+                stale.fetch_add(1);
+              }
+            }
+          },
+          1.0, tenant);
+    }
+    sent += kBlocks;
+    rt.wait_idle();
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_EQ(rt.tasks_executed(), sent);
+    const telemetry::AuditReport audit = rt.audit_now();
+    EXPECT_TRUE(audit.at_quiescence);
+    ASSERT_EQ(audit.violations, std::vector<std::string>{});
+    ASSERT_EQ(rt.memory().audit_ledger(), std::vector<std::string>{});
+    for (int b = 0; b < kBlocks; ++b) {
+      const auto& h = *hs[static_cast<std::size_t>(b)];
+      for (std::uint64_t i = 0; i < h.size(); ++i) {
+        ASSERT_EQ(h[i], expected(b, i, round)) << "block " << b;
+      }
+    }
+  }
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_GT(rt.memory().zero_copy_admissions(), 0u);
+  EXPECT_GT(rt.policy_stats().fetches, static_cast<std::uint64_t>(kBlocks));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, RuntimeCascades,
+    ::testing::Values(CascadeCase{"SyncNoIo", ooc::Strategy::SyncNoIo},
+                      CascadeCase{"SingleIo", ooc::Strategy::SingleIo},
+                      CascadeCase{"MultiIo", ooc::Strategy::MultiIo},
+                      CascadeCase{"EvictByWorker", ooc::Strategy::MultiIo,
+                                  /*evict_by_worker=*/true},
+                      CascadeCase{"TwoTenants", ooc::Strategy::MultiIo,
+                                  false, /*tenants=*/true}),
+    [](const auto& pi) { return std::string(pi.param.name); });
+
 TEST(RuntimeDeathTest, WriteUnderReadOnlyDependencyFailsCoherenceAudit) {
   // The one contract shadows add: writes go through declared
   // ReadWrite/WriteOnly dependencies.  This body writes under a

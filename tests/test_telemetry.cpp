@@ -564,6 +564,13 @@ TEST(TelemetryPerfetto, EmitsMetadataSlicesAndOneFlowChain) {
 
   // Slices: idle is skipped by default, migrations carry tier args.
   EXPECT_EQ(count_of(js, "\"ph\":\"X\""), 5u);
+  // Microsecond times, the lane as tid and the task as an argument.
+  EXPECT_NE(js.find("\"ph\":\"X\",\"pid\":0,\"tid\":2,\"ts\":100000.000,"
+                    "\"dur\":100000.000,\"args\":{\"task\":7}}"),
+            std::string::npos);
+  EXPECT_NE(js.find("\"tid\":2,\"ts\":300000.000,\"dur\":100000.000,"
+                    "\"args\":{\"task\":9}}"),
+            std::string::npos);
   EXPECT_EQ(js.find("\"name\":\"idle\""), std::string::npos);
   EXPECT_NE(js.find("\"src_tier\":1,\"dst_tier\":0,\"bytes\":1024"),
             std::string::npos);

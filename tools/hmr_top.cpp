@@ -278,10 +278,9 @@ void render(const Frame& fr, int top_n, int width) {
               st.find("strategy") ? st.find("strategy")->str.c_str() : "?",
               st.find("sharded") && st.find("sharded")->boolean ? "yes"
                                                                 : "no");
-  std::printf(
-      "tasks=%.0f retired=%.0f outstanding_msgs=%.0f outstanding_ops=%.0f\n",
-      num("tasks_executed", 0), num("retired", 0),
-      num("outstanding_msgs", 0), num("outstanding_ops", 0));
+  std::printf("tasks=%.0f retired=%.0f outstanding=%.0f\n",
+              num("tasks_executed", 0), num("retired", 0),
+              num("outstanding", 0));
 
   // Per-PE panel: queue depth bar (msgs + run_q, scaled to the busiest
   // PE) plus liveness.  Stale beats (age over a second) get flagged.
